@@ -17,7 +17,8 @@ Scenario config files are plain key=value lines, e.g.:
     J0 = 15
 
 Environment overrides: RHDEPTH_SEED and RHDEPTH_THREADS apply when the
-corresponding flag is not given.
+corresponding flag is not given. The thread count must be at least 1 and
+is capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -130,12 +131,24 @@ def _resolve_seed(args, parser):
     return seed
 
 
-def _resolve_threads(args) -> int:
+def _resolve_threads(args, parser) -> int:
+    """Worker threads, at least 1 and at most the CPU count.
+
+    Outputs do not depend on the thread count, so the cap changes none.
+    """
     if args.threads is not None:
-        return args.threads
-    if "RHDEPTH_THREADS" in os.environ:
-        return int(os.environ["RHDEPTH_THREADS"])
-    return default_threads()
+        threads, source = args.threads, "--threads"
+    elif "RHDEPTH_THREADS" in os.environ:
+        source = "RHDEPTH_THREADS"
+        try:
+            threads = int(os.environ[source])
+        except ValueError:
+            parser.exit(1, f"rhdepth: error: {source} must be an integer\n")
+    else:
+        return default_threads()
+    if threads < 1:
+        parser.exit(1, f"rhdepth: error: {source} must be at least 1\n")
+    return min(threads, default_threads())
 
 
 def _reg_spec(args, parser) -> RegularizationSpec:
@@ -287,9 +300,10 @@ def _cmd_outliers(args, parser, argv):
     sample = read_sample(args.input)
     spec = _reg_spec(args, parser)
     seed = _resolve_seed(args, parser)
-    threads = _resolve_threads(args)
     if args.calibrate:
-        calib = calibrate_factor(sample, args.J, args.M, spec, args.B, seed, threads=threads)
+        calib = calibrate_factor(
+            sample, args.J, args.M, spec, args.B, seed, threads=args.threads
+        )
         factor = calib.factor
     else:
         calib = None
@@ -333,9 +347,7 @@ def _cmd_calibrate(args, parser, argv):
     sample = read_sample(args.input)
     spec = _reg_spec(args, parser)
     seed = _resolve_seed(args, parser)
-    calib = calibrate_factor(
-        sample, args.J, args.M, spec, args.B, seed, threads=_resolve_threads(args)
-    )
+    calib = calibrate_factor(sample, args.J, args.M, spec, args.B, seed, threads=args.threads)
     write_json(
         args.out,
         {
@@ -401,7 +413,7 @@ def _cmd_bench(args, parser, argv):
         seed,
         u_grid=u_grid,
         factor_grid=factor_grid,
-        threads=_resolve_threads(args),
+        threads=args.threads,
     )
     csv_rows = [
         (r["u"], r["f"], repr(r["p_c"]), repr(r["p_f"]), r["replicates"]) for r in rows
@@ -443,6 +455,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.threads = _resolve_threads(args, parser)
         return _COMMANDS[args.command](args, parser, argv)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -8,7 +8,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .funspace import _frozen_array, fit_fpca
-from .outlier import FACTOR_GRID, _apply_fences, _candidate_projections
+from .outlier import FACTOR_GRID, flag_candidates
 from .rhd import RegularizationSpec, draw_directions, resolve_lambda
 from .simlab import ScenarioSpec, generate_scenario
 
@@ -127,10 +127,8 @@ def _roc_replicate(args):
     out = {}
     for u in u_grid:
         lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
-        _, candidates, projections = _candidate_projections(eig, dirs, lam)
-        for f in factor_grid:
-            _, final = _apply_fences(candidates, projections, f)
-            metrics = detection_metrics(final, labels)
+        for f, flagged in zip(factor_grid, flag_candidates(eig, dirs, lam, factor_grid)):
+            metrics = detection_metrics(flagged, labels)
             out[(u, f)] = (metrics.p_c, metrics.p_f)
     return out
 

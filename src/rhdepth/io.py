@@ -17,12 +17,19 @@ from .funspace import EigenSystem, FunctionalSample, Grid, make_uniform_grid
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    The file gets mode 0o666 less the umask, as open() would give it;
+    mkstemp alone creates it 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        umask = os.umask(0)  # the only way to read it; restored at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,6 +60,8 @@ def read_sample(path: str) -> FunctionalSample:
     points = np.array([float(v) for v in rows[0]])
     values = np.array([[float(v) for v in row] for row in rows[1:]])
     p = points.size
+    if p < 2:
+        raise ValueError(f"{path}: the grid needs at least 2 points, got {p}")
     if p == 2:
         weights = np.array([0.5, 0.5]) * (points[1] - points[0])
     else:
@@ -81,9 +90,18 @@ def read_labels(path: str) -> list:
         rows = list(csv.reader(handle))
     if not rows or rows[0] != ["index", "label"]:
         raise ValueError(f"{path}: expected 'index,label' header")
-    labels = [None] * (len(rows) - 1)
-    for idx, lab in rows[1:]:
-        labels[int(idx)] = lab
+    body = rows[1:]
+    if any(len(row) != 2 for row in body):
+        raise ValueError(f"{path}: each row must be index,label")
+    try:
+        indices = [int(idx) for idx, _ in body]
+    except ValueError:
+        raise ValueError(f"{path}: label indices must be integers") from None
+    if sorted(indices) != list(range(len(body))):
+        raise ValueError(f"{path}: label indices must be 0..{len(body) - 1}, each once")
+    labels = [None] * len(body)
+    for idx, (_, lab) in zip(indices, body):
+        labels[idx] = lab
     return labels
 
 

@@ -5,6 +5,12 @@ directions define univariate projections, and a boxplot fence
 [Q1 - f*IQR, Q3 + f*IQR] flags points strictly outside. The final outlier
 set is the union of fence flags intersected with the candidate set.
 
+Q1 and Q3 are computed once per distinct minimizing direction, in one
+batched percentile call, and reused for every factor; to pick the final
+set only the candidates are tested. `detect_outliers` and
+`flag_candidates` (which the calibration null datasets and
+`evalkit.roc_table` call) share this one fence path.
+
 The factor f is calibrated on Gaussian null data matching the input's
 empirical mean and covariance, targeting a 0.7% flagged proportion.
 """
@@ -56,44 +62,71 @@ class CalibrationResult:
     rates: dict = field(default_factory=dict)
 
 
-def _candidate_projections(eig: EigenSystem, dirs: DirectionSet, lam: float):
-    """Depths of the sample, minimal-depth candidates, and the projections
-    along each candidate's minimizing directions."""
+@dataclass(frozen=True)
+class _CandidateQuartiles:
+    """Minimal-depth candidates and the quartiles along their directions.
+
+    `pairs` lists (candidate, direction, column) per minimizing direction of
+    each candidate, candidates ascending; `projections[:, column]` is the
+    sample projected on that direction, one column per distinct direction.
+    """
+
+    depths: np.ndarray
+    candidates: np.ndarray
+    pairs: tuple
+    projections: np.ndarray
+    q1: np.ndarray
+    q3: np.ndarray
+
+    def fences(self, factor: float):
+        """IQR, lower and upper fence per distinct direction."""
+        iqr = self.q3 - self.q1
+        return iqr, self.q1 - factor * iqr, self.q3 + factor * iqr
+
+    def outside(self, rows: np.ndarray, factor: float) -> np.ndarray:
+        """Mask of the entries of `rows` of the projections strictly outside
+        their column's fence."""
+        _, lower, upper = self.fences(factor)
+        return (rows < lower) | (rows > upper)
+
+    def flagged(self, factor: float) -> tuple:
+        """Candidates outside some fence: the union of flags ∩ candidates."""
+        hit = self.outside(self.projections[self.candidates], factor).any(axis=1)
+        return tuple(int(i) for i in self.candidates[hit])
+
+
+def _candidate_quartiles(eig: EigenSystem, dirs: DirectionSet, lam: float):
+    """Depths of the sample, its minimal-depth candidates, and Q1 and Q3 of
+    the sample projected on each distinct minimizing direction."""
     result = depth_from_scores(dirs, lam, eig.scores, eig.scores)
-    dmin = result.depths.min()
-    candidates = np.flatnonzero(result.depths == dmin)
-    projections = []  # (candidate, direction index, projected sample)
+    candidates = np.flatnonzero(result.depths == result.depths.min())
+    per_candidate = [result.minimizing_directions[i] for i in candidates]
+    pair_dirs = np.concatenate(per_candidate)
+    directions, columns = np.unique(pair_dirs, return_inverse=True)
+    pair_candidates = np.repeat(candidates, [len(m) for m in per_candidate])
     scores = eig.scores[:, : dirs.truncation]
-    for i0 in candidates:
-        for m in result.minimizing_directions[i0]:
-            projections.append((int(i0), int(m), scores @ dirs.coefficients[m]))
-    return result, candidates, projections
+    # One matvec per direction: a single matmul rounds some projections
+    # differently, which moves the fences by an ulp.
+    projections = np.column_stack([scores @ dirs.coefficients[m] for m in directions])
+    q1, q3 = np.percentile(projections, [25.0, 75.0], axis=0)
+    return _CandidateQuartiles(
+        depths=result.depths,
+        candidates=candidates,
+        pairs=tuple(zip(pair_candidates.tolist(), pair_dirs.tolist(), columns.tolist())),
+        projections=projections,
+        q1=q1,
+        q3=q3,
+    )
 
 
-def _apply_fences(candidates, projections, factor: float):
-    fences = []
-    flagged = set()
-    for i0, m, proj in projections:
-        q1, q3 = np.percentile(proj, [25.0, 75.0])
-        iqr = q3 - q1
-        lower = q1 - factor * iqr
-        upper = q3 + factor * iqr
-        outside = np.flatnonzero((proj < lower) | (proj > upper))
-        fences.append(
-            FenceRecord(
-                candidate=i0,
-                direction=m,
-                q1=float(q1),
-                q3=float(q3),
-                iqr=float(iqr),
-                lower=float(lower),
-                upper=float(upper),
-                flagged=tuple(int(i) for i in outside),
-            )
-        )
-        flagged.update(int(i) for i in outside)
-    final = sorted(flagged & set(int(i) for i in candidates))
-    return fences, final
+def flag_candidates(eig: EigenSystem, dirs: DirectionSet, lam: float, factors) -> tuple:
+    """Flagged curves of the fitted sample for each fence factor.
+
+    Depth, candidates and quartiles are computed once and every factor is
+    applied to the same quartiles; only the candidates are tested.
+    """
+    quartiles = _candidate_quartiles(eig, dirs, lam)
+    return tuple(quartiles.flagged(f) for f in factors)
 
 
 def detect_outliers(
@@ -104,15 +137,30 @@ def detect_outliers(
         raise ValueError("factor must be positive")
     if eig.scores.shape[0] < 4:
         raise ValueError("need at least 4 curves for quartile fences")
-    result, candidates, projections = _candidate_projections(eig, dirs, lam)
-    fences, final = _apply_fences(candidates, projections, factor)
+    quartiles = _candidate_quartiles(eig, dirs, lam)
+    iqr, lower, upper = quartiles.fences(factor)
+    outside = quartiles.outside(quartiles.projections, factor)
+    flagged_by = [tuple(np.flatnonzero(col).tolist()) for col in outside.T]
+    fences = tuple(
+        FenceRecord(
+            candidate=i0,
+            direction=m,
+            q1=float(quartiles.q1[c]),
+            q3=float(quartiles.q3[c]),
+            iqr=float(iqr[c]),
+            lower=float(lower[c]),
+            upper=float(upper[c]),
+            flagged=flagged_by[c],
+        )
+        for i0, m, c in quartiles.pairs
+    )
     return OutlierReport(
-        candidate_set=tuple(int(i) for i in candidates),
-        flagged=tuple(final),
-        fences=tuple(fences),
+        candidate_set=tuple(int(i) for i in quartiles.candidates),
+        flagged=quartiles.flagged(factor),
+        fences=fences,
         factor=float(factor),
         lambda_used=float(lam),
-        depths=result.depths,
+        depths=quartiles.depths,
     )
 
 
@@ -126,12 +174,7 @@ def _null_flag_rates(args):
     eig = fit_fpca(null_sample, J)
     dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
     lam = resolve_lambda(spec, dirs)
-    _, candidates, projections = _candidate_projections(eig, dirs, lam)
-    rates = []
-    for f in grid_factors:
-        _, final = _apply_fences(candidates, projections, f)
-        rates.append(len(final) / n)
-    return rates
+    return [len(flagged) / n for flagged in flag_candidates(eig, dirs, lam, grid_factors)]
 
 
 def calibrate_factor(

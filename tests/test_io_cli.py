@@ -1,13 +1,16 @@
 """CSV/JSON round-trips and the command-line interface."""
 
+import argparse
 import json
+import os
 
 import numpy as np
 import pytest
 
 from rhdepth import generate_inliers, generate_scenario, ScenarioSpec
-from rhdepth.cli import parse_scenario_config, run
+from rhdepth.cli import _build_parser, _resolve_threads, parse_scenario_config, run
 from rhdepth.io import (
+    atomic_write_text,
     read_labels,
     read_sample,
     sample_to_csv,
@@ -43,6 +46,19 @@ class TestIo:
         path = tmp_path / "labels.csv"
         write_labels(str(path), labels)
         assert read_labels(str(path)) == labels
+        for body in ("0,inlier\n5,jump\n", "0,inlier\n0,jump\n"):
+            path.write_text("index,label\n" + body)
+            with pytest.raises(ValueError, match="indices"):
+                read_labels(str(path))
+
+    def test_written_file_follows_umask(self, tmp_path):
+        path = tmp_path / "out.txt"
+        old = os.umask(0o022)
+        try:
+            atomic_write_text(str(path), "x\n")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o644
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -184,6 +200,39 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    def test_one_point_grid_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "p1.csv"
+        path.write_text("0.5\n1.0\n2.0\n")
+        argv = ["depth", "--input", str(path), "--u", "0.5", "--seed", "7"]
+        code = run(argv + ["--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at least 2 points" in err
+
+    def test_threads_below_one_exits_1(self, sample_csv, tmp_path, capsys):
+        argv = ["depth", "--input", sample_csv, "--u", "0.5", "--seed", "7"]
+        argv += ["--out", str(tmp_path / "d.csv")]
+        for threads in ("0", "-3"):
+            assert run(["--threads", threads] + argv) == 1
+            assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_resolve_threads(self, monkeypatch):
+        parser = _build_parser()
+        cpus = os.cpu_count() or 1
+        monkeypatch.delenv("RHDEPTH_THREADS", raising=False)
+        assert _resolve_threads(argparse.Namespace(threads=1), parser) == 1
+        assert _resolve_threads(argparse.Namespace(threads=10**9), parser) == cpus
+        assert _resolve_threads(argparse.Namespace(threads=None), parser) == cpus
+        monkeypatch.setenv("RHDEPTH_THREADS", str(10**9))
+        assert _resolve_threads(argparse.Namespace(threads=None), parser) == cpus
+        assert _resolve_threads(argparse.Namespace(threads=1), parser) == 1
+        for bad in ("0", "-2", "many"):
+            monkeypatch.setenv("RHDEPTH_THREADS", bad)
+            with pytest.raises(SystemExit) as exc:
+                _resolve_threads(argparse.Namespace(threads=None), parser)
+            assert exc.value.code == 1
 
     def test_unknown_subcommand_exits_1(self):
         assert run(["frobnicate"]) == 1

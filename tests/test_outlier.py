@@ -16,6 +16,8 @@ from rhdepth import (
     make_uniform_grid,
     resolve_lambda,
 )
+from rhdepth.outlier import FenceRecord
+from rhdepth.rhd import depth_from_scores
 
 
 def _fitted(sample, J=6, M=1000, u=0.5, seed=0):
@@ -23,6 +25,37 @@ def _fitted(sample, J=6, M=1000, u=0.5, seed=0):
     dirs = draw_directions(eig, J, M, seed)
     lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
     return eig, dirs, lam
+
+
+def _reference_fences(eig, dirs, lam, factor):
+    """Fence records and final flags, one percentile call per
+    (candidate, minimizing direction) pair."""
+    result = depth_from_scores(dirs, lam, eig.scores, eig.scores)
+    candidates = np.flatnonzero(result.depths == result.depths.min())
+    scores = eig.scores[:, : dirs.truncation]
+    records, flagged = [], set()
+    for i0 in candidates:
+        for m in result.minimizing_directions[i0]:
+            proj = scores @ dirs.coefficients[m]
+            q1, q3 = np.percentile(proj, [25.0, 75.0])
+            iqr = q3 - q1
+            lower, upper = q1 - factor * iqr, q3 + factor * iqr
+            outside = np.flatnonzero((proj < lower) | (proj > upper))
+            records.append(
+                FenceRecord(
+                    int(i0), int(m), float(q1), float(q3), float(iqr),
+                    float(lower), float(upper), tuple(int(i) for i in outside),
+                )
+            )
+            flagged.update(int(i) for i in outside)
+    return records, tuple(sorted(flagged & set(candidates.tolist())))
+
+
+def _contaminated(n, seed):
+    """n - 1 inliers and one curve shifted by 6 pointwise SDs."""
+    s = generate_inliers(n - 1, seed=seed)
+    shifted = s.values[0] + 6.0 * s.values.std(axis=0)
+    return FunctionalSample(s.grid, np.vstack([s.values, shifted]))
 
 
 class TestDetect:
@@ -137,3 +170,53 @@ class TestCalibrate:
         threaded = calibrate_factor(s, threads=4, **kwargs)
         assert serial.factor == threaded.factor
         assert serial.rates == threaded.rates
+
+
+class TestBatchedFencesMatchPerPairReference:
+    SEEDS = (200, 201, 202)
+
+    def test_detect_outliers(self):
+        any_flag = any_shared = False
+        for seed in self.SEEDS:
+            sample = _contaminated(150, seed)
+            # Every curve twice: candidates come in pairs sharing directions.
+            half = _contaminated(75, seed)
+            doubled = FunctionalSample(half.grid, np.vstack([half.values, half.values]))
+            for data in (sample, doubled):
+                for u in (0.5, 0.95):
+                    eig, dirs, lam = _fitted(data, M=500, u=u, seed=seed + 1)
+                    for f in FACTOR_GRID:
+                        report = detect_outliers(eig, dirs, lam, f)
+                        records, flagged = _reference_fences(eig, dirs, lam, f)
+                        assert report.flagged == flagged
+                        assert list(report.fences) == records
+                        any_flag = any_flag or bool(flagged)
+                        directions = [r.direction for r in records]
+                        any_shared = any_shared or len(set(directions)) < len(directions)
+        assert any_flag and any_shared
+
+    def test_calibration_rates(self):
+        J, M, B = 6, 500, 3
+        for seed in self.SEEDS:
+            sample = _contaminated(150, seed)
+            for u in (0.5, 0.95):
+                spec = RegularizationSpec.from_quantile(u)
+                calib = calibrate_factor(sample, J, M, spec, B, seed, threads=1)
+                # The null datasets of calibrate_factor, drawn the same way.
+                eig = fit_fpca(sample, J)
+                per_dataset = []
+                for child in np.random.SeedSequence(seed).spawn(B):
+                    rng = np.random.default_rng(child)
+                    z = rng.standard_normal((sample.n, J))
+                    values = eig.mean + (z * np.sqrt(eig.eigenvalues)) @ eig.eigenfunctions
+                    null_eig = fit_fpca(FunctionalSample(sample.grid, values), J)
+                    null_dirs = draw_directions(null_eig, J, M, seed=int(rng.integers(2**63)))
+                    null_lam = resolve_lambda(spec, null_dirs)
+                    per_dataset.append(
+                        [
+                            len(_reference_fences(null_eig, null_dirs, null_lam, f)[1]) / sample.n
+                            for f in FACTOR_GRID
+                        ]
+                    )
+                rates = np.mean(per_dataset, axis=0)
+                assert calib.rates == {float(f): float(r) for f, r in zip(FACTOR_GRID, rates)}
