@@ -1,13 +1,18 @@
 """Command-line entry point.
 
-Subcommands: fpca, depth, outliers, calibrate, simulate, rank, bench.
-Every run writes its outputs atomically plus a JSON manifest
-(<out>.manifest.json) holding all parameters, the seed, the package
+Subcommands: fpca, depth (alias rank), outliers, calibrate, simulate, bench.
+Each is one entry of a command table: the flags it takes, its pipeline, and
+the flag values its manifest records. One runner resolves the seed, runs the
+pipeline, writes its outputs atomically, and writes a JSON manifest
+(<out>.manifest.json) holding the parameters, the seed, the package
 version, and wall time; replaying a manifest's argv reproduces the outputs
 byte for byte (the wall-time field aside).
 
 Exit codes: 1 for argument/validation errors (the message names the flag),
-2 for rank or empty-pool errors, 0 otherwise.
+2 for rank or empty-pool errors, 0 otherwise. Refused values: --u outside
+(0, 1); --lambda not positive, NaN included (inf means no regularization);
+--factor or a --factor-grid entry that is not positive and finite, or that
+overflows a fence; a negative seed; a thread count below 1.
 
 Scenario config files are plain key=value lines, e.g.:
 
@@ -24,11 +29,13 @@ is capped at the CPU count.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
+import math
 import os
 import sys
 import time
 from importlib.metadata import PackageNotFoundError, version
+from typing import Callable
 
 from ._parallel import default_threads
 from .errors import EmptyPoolError, RankError
@@ -37,10 +44,10 @@ from .funspace import fit_fpca
 from .io import (
     atomic_write_text,
     eigensystem_to_json,
+    labels_to_csv,
     read_sample,
+    sample_to_csv,
     write_json,
-    write_labels,
-    write_sample,
 )
 from .outlier import FACTOR_GRID, calibrate_factor, detect_outliers
 from .rhd import RegularizationSpec, approximate_rhd, draw_directions, resolve_lambda
@@ -60,72 +67,70 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _add_common(parser, with_eval=False):
-    parser.add_argument("--input", required=True, help="sample CSV (grid row + curves)")
-    if with_eval:
-        parser.add_argument("--eval", help="evaluation-point CSV; defaults to the sample")
-    parser.add_argument("--J", type=int, default=6, help="truncation level (default 6)")
-    parser.add_argument(
-        "--M",
+def _factor(text: str) -> float:
+    """A fence factor: positive and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _grid(parse):
+    """Comma-separated values, each read by parse."""
+
+    def grid(text: str) -> tuple:
+        return tuple(parse(v) for v in text.split(","))
+
+    return grid
+
+
+# Every flag once, with its add_argument kwargs. Its attribute on the parsed
+# namespace, and its manifest key, is the name with '-' read as '_'.
+_FLAGS = {
+    "threads": dict(type=int, help="worker threads"),
+    "input": dict(required=True, help="sample CSV (grid row + curves)"),
+    "eval": dict(help="evaluation-point CSV; defaults to the sample"),
+    "scenario": dict(required=True, help="key=value scenario config"),
+    "J": dict(type=int, default=6, help="truncation level (default 6)"),
+    "M": dict(
         type=int,
         default=1000,
         help="random proposal directions, plus one data direction per curve (default 1000)",
-    )
-    parser.add_argument("--u", type=float, help="quantile level for lambda")
-    parser.add_argument("--lambda", dest="lam", type=float, help="explicit lambda")
-    parser.add_argument("--seed", type=int, help="RNG seed")
-    parser.add_argument("--out", required=True, help="output path")
+    ),
+    "u": dict(type=float, help="quantile level for lambda"),
+    "lambda": dict(type=float, help="explicit lambda"),
+    "factor": dict(type=_factor, help="fence factor f"),
+    "calibrate": dict(action="store_true", help="calibrate f on null data"),
+    "B": dict(type=int, default=100, help="null datasets for calibration"),
+    "u-grid": dict(type=_grid(float), default=DEFAULT_QUANTILE_GRID, help="quantile levels"),
+    "factor-grid": dict(type=_grid(_factor), default=FACTOR_GRID, help="fence factors"),
+    "replicates": dict(type=int, default=100, help="scenario replicates"),
+    "seed": dict(type=int, help="RNG seed"),
+    "out": dict(required=True, help="output path"),
+    "out-sample": dict(required=True, help="output curve CSV"),
+    "out-labels": dict(required=True, help="output labels CSV"),
+}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="rhdepth")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fpca", parents=[], help="fit FPCA, export eigensystem JSON")
-    p.add_argument("--input", required=True)
-    p.add_argument("--J", type=int, default=6)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("depth", help="approximate depth of evaluation curves")
-    _add_common(p, with_eval=True)
-
-    p = sub.add_parser("outliers", help="flag outliers in the sample")
-    _add_common(p)
-    p.add_argument("--factor", type=float, help="fence factor f")
-    p.add_argument("--calibrate", action="store_true", help="calibrate f on null data")
-    p.add_argument("--B", type=int, default=100, help="null datasets for calibration")
-
-    p = sub.add_parser("calibrate", help="calibrate the fence factor")
-    _add_common(p)
-    p.add_argument("--B", type=int, default=100)
-
-    p = sub.add_parser("simulate", help="generate a contaminated scenario")
-    p.add_argument("--scenario", required=True, help="key=value scenario config")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--out-sample", required=True)
-    p.add_argument("--out-labels", required=True)
-
-    p = sub.add_parser("rank", help="depths and normalized ranks of the sample")
-    _add_common(p)
-
-    p = sub.add_parser("bench", help="ROC table over quantile levels and factors")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--J", type=int, default=6)
-    p.add_argument("--M", type=int, default=1000)
-    p.add_argument("--u-grid", default=",".join(str(u) for u in DEFAULT_QUANTILE_GRID))
-    p.add_argument("--factor-grid", default=",".join(str(f) for f in FACTOR_GRID))
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--out", required=True)
-
-    return parser
+def _int_setting(args, name: str, env: str, minimum: int, parser):
+    """The --name flag's value, else env's as an int, or None; at least minimum."""
+    value, source = getattr(args, name), f"--{name}"
+    if value is None and env in os.environ:
+        source = env
+        try:
+            value = int(os.environ[env])
+        except ValueError:
+            parser.exit(1, f"rhdepth: error: {env} must be an integer\n")
+    if value is not None and value < minimum:
+        parser.exit(1, f"rhdepth: error: {source} must be at least {minimum}\n")
+    return value
 
 
-def _resolve_seed(args, parser):
-    seed = getattr(args, "seed", None)
-    if seed is None and "RHDEPTH_SEED" in os.environ:
-        seed = int(os.environ["RHDEPTH_SEED"])
+def _resolve_seed(args, parser) -> int:
+    seed = _int_setting(args, "seed", "RHDEPTH_SEED", 0, parser)
     if seed is None:
         parser.exit(1, "rhdepth: error: --seed is required (or set RHDEPTH_SEED)\n")
     return seed
@@ -136,31 +141,19 @@ def _resolve_threads(args, parser) -> int:
 
     Outputs do not depend on the thread count, so the cap changes none.
     """
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
-    elif "RHDEPTH_THREADS" in os.environ:
-        source = "RHDEPTH_THREADS"
-        try:
-            threads = int(os.environ[source])
-        except ValueError:
-            parser.exit(1, f"rhdepth: error: {source} must be an integer\n")
-    else:
-        return default_threads()
-    if threads < 1:
-        parser.exit(1, f"rhdepth: error: {source} must be at least 1\n")
-    return min(threads, default_threads())
+    threads = _int_setting(args, "threads", "RHDEPTH_THREADS", 1, parser)
+    return default_threads() if threads is None else min(threads, default_threads())
 
 
-def _reg_spec(args, parser) -> RegularizationSpec:
-    if (args.u is None) == (args.lam is None):
-        parser.exit(1, "rhdepth: error: provide exactly one of --u and --lambda\n")
-    if args.u is not None:
-        if not 0 < args.u < 1:
-            parser.exit(1, "rhdepth: error: --u must lie in (0, 1)\n")
-        return RegularizationSpec.from_quantile(args.u)
-    if args.lam <= 0:
-        parser.exit(1, "rhdepth: error: --lambda must be positive\n")
-    return RegularizationSpec.from_lambda(args.lam)
+def _reg_spec(args) -> RegularizationSpec:
+    u, lam = args.u, vars(args)["lambda"]
+    if (u is None) == (lam is None):
+        raise ValueError("provide exactly one of --u and --lambda")
+    if u is not None and not 0 < u < 1:
+        raise ValueError("--u must lie in (0, 1)")
+    if lam is not None and not lam > 0:
+        raise ValueError("--lambda must be positive")
+    return RegularizationSpec(lam=lam, quantile_level=u)
 
 
 def parse_scenario_config(path: str) -> ScenarioSpec:
@@ -193,278 +186,187 @@ def parse_scenario_config(path: str) -> ScenarioSpec:
     )
 
 
-def _write_manifest(out_path: str, argv, params: dict, elapsed: float) -> None:
-    manifest = {
-        "argv": list(argv),
-        "parameters": params,
-        "version": _package_version(),
-        "wall_time_seconds": elapsed,
-    }
-    atomic_write_text(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
-
-
 def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(str(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _depth_pipeline(args, parser, eval_path=None):
+def _fit_pool(args):
+    """Read the sample, fit FPCA, draw the direction pool and resolve lambda."""
     sample = read_sample(args.input)
-    spec = _reg_spec(args, parser)
-    seed = _resolve_seed(args, parser)
+    spec = _reg_spec(args)
     eig = fit_fpca(sample, args.J)
-    dirs = draw_directions(eig, args.J, args.M, seed)
-    lam = resolve_lambda(spec, dirs)
-    eval_sample = read_sample(eval_path) if eval_path else sample
-    result = approximate_rhd(eig, dirs, lam, eval_sample)
-    return sample, eig, dirs, lam, result, seed
+    dirs = draw_directions(eig, args.J, args.M, args.seed)
+    return sample, spec, eig, dirs, resolve_lambda(spec, dirs)
 
 
-def _cmd_depth(args, parser, argv):
-    start = time.monotonic()
-    _, _, _, lam, result, seed = _depth_pipeline(args, parser, getattr(args, "eval", None))
+def _fpca(args):
+    """fit FPCA, export eigensystem JSON"""
+    eig = fit_fpca(read_sample(args.input), args.J)
+    return {args.out: eigensystem_to_json(eig) + "\n"}, {}
+
+
+def _depth(args):
+    """depths and normalized ranks of evaluation curves (default: the sample)"""
+    sample, _, eig, dirs, lam = _fit_pool(args)
+    result = approximate_rhd(eig, dirs, lam, read_sample(args.eval) if args.eval else sample)
     table = normalized_ranks(result.depths)
     rows = [
         (i, repr(float(d)), repr(float(r)), repr(lam), len(result.minimizing_directions[i]))
         for i, (d, r) in enumerate(zip(result.depths, table.normalized))
     ]
-    atomic_write_text(
-        args.out,
-        _csv_text(["eval_id", "depth", "normalized_rank", "lambda_used", "n_min_directions"], rows),
+    header = ["eval_id", "depth", "normalized_rank", "lambda_used", "n_min_directions"]
+    return {args.out: _csv_text(header, rows)}, {"lambda_used": lam}
+
+
+def _calibration(args, sample, spec) -> dict:
+    """Calibrate the fence factor on null data; the result as a JSON payload."""
+    calib = calibrate_factor(
+        sample, args.J, args.M, spec, args.B, args.seed, threads=args.threads
     )
-    _write_manifest(
-        args.out,
-        argv,
-        {
-            "command": "depth",
-            "input": args.input,
-            "eval": getattr(args, "eval", None),
-            "J": args.J,
-            "M": args.M,
-            "u": args.u,
-            "lambda": args.lam,
-            "lambda_used": lam,
-            "seed": seed,
-        },
-        time.monotonic() - start,
-    )
-    return 0
+    return dataclasses.asdict(calib)
 
 
-def _cmd_rank(args, parser, argv):
-    return _cmd_depth(args, parser, argv)
-
-
-def _cmd_fpca(args, parser, argv):
-    start = time.monotonic()
-    sample = read_sample(args.input)
-    eig = fit_fpca(sample, args.J)
-    atomic_write_text(args.out, eigensystem_to_json(eig) + "\n")
-    _write_manifest(
-        args.out,
-        argv,
-        {"command": "fpca", "input": args.input, "J": args.J},
-        time.monotonic() - start,
-    )
-    return 0
-
-
-def _report_payload(report) -> dict:
-    return {
+def _outliers(args):
+    """flag outliers in the sample"""
+    if args.factor is None and not args.calibrate:
+        raise ValueError("provide --factor or --calibrate")
+    sample, spec, eig, dirs, lam = _fit_pool(args)
+    calib = _calibration(args, sample, spec) if args.calibrate else None
+    factor = calib["factor"] if calib else args.factor
+    report = detect_outliers(eig, dirs, lam, factor)
+    payload = {
         "candidate_set": list(report.candidate_set),
         "flagged": list(report.flagged),
         "factor": report.factor,
         "lambda_used": report.lambda_used,
         "depths": [float(d) for d in report.depths],
-        "fences": [
-            {
-                "candidate": f.candidate,
-                "direction": f.direction,
-                "q1": f.q1,
-                "q3": f.q3,
-                "iqr": f.iqr,
-                "lower": f.lower,
-                "upper": f.upper,
-                "flagged": list(f.flagged),
-            }
-            for f in report.fences
-        ],
+        "fences": [dataclasses.asdict(f) for f in report.fences],
     }
+    if calib:
+        del calib["rates"]  # only the calibrate command writes them
+        payload["calibration"] = calib
+    resolved = {
+        "lambda_used": lam,
+        "factor": factor,
+        "calibrated": args.calibrate,
+        "B": args.B if args.calibrate else None,
+    }
+    return {args.out: payload}, resolved
 
 
-def _cmd_outliers(args, parser, argv):
-    start = time.monotonic()
-    if args.factor is None and not args.calibrate:
-        parser.exit(1, "rhdepth: error: provide --factor or --calibrate\n")
-    sample = read_sample(args.input)
-    spec = _reg_spec(args, parser)
-    seed = _resolve_seed(args, parser)
-    if args.calibrate:
-        calib = calibrate_factor(
-            sample, args.J, args.M, spec, args.B, seed, threads=args.threads
-        )
-        factor = calib.factor
-    else:
-        calib = None
-        factor = args.factor
-    eig = fit_fpca(sample, args.J)
-    dirs = draw_directions(eig, args.J, args.M, seed)
-    lam = resolve_lambda(spec, dirs)
-    report = detect_outliers(eig, dirs, lam, factor)
-    payload = _report_payload(report)
-    if calib is not None:
-        payload["calibration"] = {
-            "factor": calib.factor,
-            "achieved_rate": calib.achieved_rate,
-            "grid_tried": list(calib.grid_tried),
-            "B": calib.B,
-        }
-    write_json(args.out, payload)
-    _write_manifest(
-        args.out,
-        argv,
-        {
-            "command": "outliers",
-            "input": args.input,
-            "J": args.J,
-            "M": args.M,
-            "u": args.u,
-            "lambda": args.lam,
-            "lambda_used": lam,
-            "factor": factor,
-            "calibrated": bool(args.calibrate),
-            "B": args.B if args.calibrate else None,
-            "seed": seed,
-        },
-        time.monotonic() - start,
-    )
-    return 0
+def _calibrate(args):
+    """calibrate the fence factor"""
+    return {args.out: _calibration(args, read_sample(args.input), _reg_spec(args))}, {}
 
 
-def _cmd_calibrate(args, parser, argv):
-    start = time.monotonic()
-    sample = read_sample(args.input)
-    spec = _reg_spec(args, parser)
-    seed = _resolve_seed(args, parser)
-    calib = calibrate_factor(sample, args.J, args.M, spec, args.B, seed, threads=args.threads)
-    write_json(
-        args.out,
-        {
-            "factor": calib.factor,
-            "achieved_rate": calib.achieved_rate,
-            "grid_tried": list(calib.grid_tried),
-            "B": calib.B,
-            "rates": {str(k): v for k, v in calib.rates.items()},
-        },
-    )
-    _write_manifest(
-        args.out,
-        argv,
-        {
-            "command": "calibrate",
-            "input": args.input,
-            "J": args.J,
-            "M": args.M,
-            "u": args.u,
-            "lambda": args.lam,
-            "B": args.B,
-            "seed": seed,
-        },
-        time.monotonic() - start,
-    )
-    return 0
-
-
-def _cmd_simulate(args, parser, argv):
-    start = time.monotonic()
-    seed = _resolve_seed(args, parser)
-    base = parse_scenario_config(args.scenario)
-    spec = ScenarioSpec(
-        n_inliers=base.n_inliers,
-        outlier_counts=base.outlier_counts,
-        seed=seed,
-        p=base.p,
-        J0=base.J0,
-    )
+def _simulate(args):
+    """generate a contaminated scenario"""
+    spec = dataclasses.replace(parse_scenario_config(args.scenario), seed=args.seed)
     sample, labels = generate_scenario(spec)
-    write_sample(args.out_sample, sample)
-    write_labels(args.out_labels, labels)
-    _write_manifest(
-        args.out_sample,
-        argv,
-        {"command": "simulate", "scenario": args.scenario, "seed": seed},
-        time.monotonic() - start,
-    )
-    return 0
+    outputs = {args.out_sample: sample_to_csv(sample), args.out_labels: labels_to_csv(labels)}
+    return outputs, {}
 
 
-def _cmd_bench(args, parser, argv):
-    start = time.monotonic()
-    seed = _resolve_seed(args, parser)
-    base = parse_scenario_config(args.scenario)
-    u_grid = tuple(float(v) for v in args.u_grid.split(","))
-    factor_grid = tuple(float(v) for v in args.factor_grid.split(","))
-    rows = roc_table(
-        base,
+def _bench(args):
+    """ROC table over quantile levels and factors"""
+    roc = roc_table(
+        parse_scenario_config(args.scenario),
         args.J,
         args.M,
         args.replicates,
-        seed,
-        u_grid=u_grid,
-        factor_grid=factor_grid,
+        args.seed,
+        u_grid=args.u_grid,
+        factor_grid=args.factor_grid,
         threads=args.threads,
     )
-    csv_rows = [
-        (r["u"], r["f"], repr(r["p_c"]), repr(r["p_f"]), r["replicates"]) for r in rows
-    ]
-    atomic_write_text(args.out, _csv_text(["u", "f", "p_c", "p_f", "replicates"], csv_rows))
-    _write_manifest(
-        args.out,
-        argv,
-        {
-            "command": "bench",
-            "scenario": args.scenario,
-            "J": args.J,
-            "M": args.M,
-            "u_grid": list(u_grid),
-            "factor_grid": list(factor_grid),
-            "replicates": args.replicates,
-            "seed": seed,
-        },
-        time.monotonic() - start,
-    )
-    return 0
+    rows = [(r["u"], r["f"], repr(r["p_c"]), repr(r["p_f"]), r["replicates"]) for r in roc]
+    return {args.out: _csv_text(["u", "f", "p_c", "p_f", "replicates"], rows)}, {}
 
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """One subcommand; its help text is the pipeline's docstring.
+
+    pipeline(args), called with the seed resolved, returns (outputs, resolved):
+    outputs maps each output path to its text or JSON payload, the first path
+    also naming the manifest; resolved holds the values the manifest records
+    after the flags.
+    """
+
+    pipeline: Callable
+    recorded: tuple  # flags whose values the manifest copies, in order
+    unrecorded: tuple = ("seed", "out")  # the other flags it takes
+    aliases: tuple = ()
+
+
+_POOL_FLAGS = ("input", "J", "M", "u", "lambda")
 
 _COMMANDS = {
-    "fpca": _cmd_fpca,
-    "depth": _cmd_depth,
-    "outliers": _cmd_outliers,
-    "calibrate": _cmd_calibrate,
-    "simulate": _cmd_simulate,
-    "rank": _cmd_rank,
-    "bench": _cmd_bench,
+    "fpca": _Command(_fpca, ("input", "J"), ("out",)),
+    "depth": _Command(_depth, ("input", "eval", "J", "M", "u", "lambda"), aliases=("rank",)),
+    "outliers": _Command(_outliers, _POOL_FLAGS, ("factor", "calibrate", "B", "seed", "out")),
+    "calibrate": _Command(_calibrate, (*_POOL_FLAGS, "B")),
+    "simulate": _Command(_simulate, ("scenario",), ("seed", "out-sample", "out-labels")),
+    "bench": _Command(_bench, ("scenario", "J", "M", "u-grid", "factor-grid", "replicates")),
 }
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="rhdepth")
+    parser.add_argument("--threads", **_FLAGS["threads"])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, aliases=cmd.aliases, help=cmd.pipeline.__doc__)
+        p.set_defaults(command=name)  # an alias runs, and records, its command
+        for flag in cmd.recorded + cmd.unrecorded:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return parser
+
+
+def _run_command(args, argv, parser) -> int:
+    """Resolve the seed, run the pipeline, write its outputs and the manifest."""
+    start = time.monotonic()
+    cmd = _COMMANDS[args.command]
+    seeded = "seed" in cmd.unrecorded
+    if seeded:
+        args.seed = _resolve_seed(args, parser)
+    outputs, resolved = cmd.pipeline(args)
+    for path, content in outputs.items():
+        if isinstance(content, str):
+            atomic_write_text(path, content)
+        else:
+            write_json(path, content)
+    values = vars(args)
+    params = {
+        "command": args.command,
+        **{key: values[key] for key in (f.replace("-", "_") for f in cmd.recorded)},
+        **resolved,
+    }
+    if seeded:
+        params["seed"] = args.seed
+    manifest = {
+        "argv": list(argv),
+        "parameters": params,
+        "version": _package_version(),
+        "wall_time_seconds": time.monotonic() - start,
+    }
+    write_json(next(iter(outputs)) + ".manifest.json", manifest)
+    return 0
 
 
 def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         args.threads = _resolve_threads(args, parser)
-        return _COMMANDS[args.command](args, parser, argv)
+        return _run_command(args, argv, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RankError, EmptyPoolError) as exc:
         print(f"rhdepth: error: {exc}", file=sys.stderr)
-        return 1
-    except (RankError, EmptyPoolError) as exc:
-        print(f"rhdepth: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, (RankError, EmptyPoolError)) else 1
 
 
 def main() -> None:

@@ -51,10 +51,19 @@ def write_sample(path: str, sample: FunctionalSample) -> None:
     atomic_write_text(path, sample_to_csv(sample))
 
 
+def _read_csv(path: str) -> list:
+    """All rows of a CSV file; a malformed one (say, a field over the csv
+    module's size limit) raises ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return list(csv.reader(handle))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_sample(path: str) -> FunctionalSample:
     """Load a curve CSV; the grid gets trapezoidal weights."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+    rows = [row for row in _read_csv(path) if row]
     if len(rows) < 2:
         raise ValueError(f"{path}: need a grid row and at least one curve row")
     points = np.array([float(v) for v in rows[0]])
@@ -79,15 +88,18 @@ def read_sample(path: str) -> FunctionalSample:
     return FunctionalSample(grid, values)
 
 
-def write_labels(path: str, labels) -> None:
+def labels_to_csv(labels) -> str:
     lines = ["index,label"]
     lines.extend(f"{i},{lab}" for i, lab in enumerate(labels))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_labels(path: str, labels) -> None:
+    atomic_write_text(path, labels_to_csv(labels))
 
 
 def read_labels(path: str) -> list:
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
+    rows = _read_csv(path)
     if not rows or rows[0] != ["index", "label"]:
         raise ValueError(f"{path}: expected 'index,label' header")
     body = rows[1:]

@@ -79,9 +79,14 @@ class _CandidateQuartiles:
     q3: np.ndarray
 
     def fences(self, factor: float):
-        """IQR, lower and upper fence per distinct direction."""
+        """IQR, lower and upper fence per distinct direction; a factor so
+        large that a fence overflows is refused."""
         iqr = self.q3 - self.q1
-        return iqr, self.q1 - factor * iqr, self.q3 + factor * iqr
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower, upper = self.q1 - factor * iqr, self.q3 + factor * iqr
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ValueError(f"factor {factor!r} is too large: a fence overflows")
+        return iqr, lower, upper
 
     def outside(self, rows: np.ndarray, factor: float) -> np.ndarray:
         """Mask of the entries of `rows` of the projections strictly outside
@@ -133,8 +138,8 @@ def detect_outliers(
     eig: EigenSystem, dirs: DirectionSet, lam: float, factor: float
 ) -> OutlierReport:
     """Flag outliers in the fitted sample at regularization lambda."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
+    if not 0 < factor < np.inf:
+        raise ValueError("factor must be positive and finite")
     if eig.scores.shape[0] < 4:
         raise ValueError("need at least 4 curves for quartile fences")
     quartiles = _candidate_quartiles(eig, dirs, lam)

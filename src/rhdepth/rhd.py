@@ -58,7 +58,7 @@ class RegularizationSpec:
     def __post_init__(self):
         if (self.lam is None) == (self.quantile_level is None):
             raise ValueError("specify exactly one of lambda and quantile level")
-        if self.lam is not None and self.lam <= 0:
+        if self.lam is not None and not self.lam > 0:  # refuses NaN; inf is allowed
             raise ValueError("lambda must be positive")
         if self.quantile_level is not None and not 0 < self.quantile_level < 1:
             raise ValueError("quantile level must lie in (0, 1)")

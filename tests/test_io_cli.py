@@ -1,11 +1,15 @@
 """CSV/JSON round-trips and the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rhdepth import generate_inliers, generate_scenario, ScenarioSpec
 from rhdepth.cli import _build_parser, _resolve_threads, parse_scenario_config, run
@@ -341,3 +345,169 @@ class TestCli:
         back = read_sample(str(sample_out))
         assert np.array_equal(back.values, expected.values)
         assert read_labels(str(labels_out)) == labels
+
+
+@pytest.fixture()
+def cli_files(sample_csv, tmp_path):
+    """Paths for CLI runs: sample (s), evaluation curves (e), scenario config (c), output (o)."""
+    eval_path = tmp_path / "eval.csv"
+    write_sample(str(eval_path), generate_inliers(10, seed=2))
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("n_inliers = 20\noutliers = magnitude:1, jump:1\n")
+    return {"s": sample_csv, "e": str(eval_path), "c": str(cfg), "o": str(tmp_path / "out")}
+
+
+# The manifest "parameters" keys of each command, as the CLI has always written them.
+_POOL = {"command", "input", "J", "M", "u", "lambda", "seed"}
+MANIFEST_KEYS = {
+    "fpca": {"command", "input", "J"},
+    "depth": _POOL | {"eval", "lambda_used"},
+    "outliers": _POOL | {"lambda_used", "factor", "calibrated", "B"},
+    "calibrate": _POOL | {"B"},
+    "simulate": {"command", "scenario", "seed"},
+    "bench": {"command", "scenario", "J", "M", "u_grid", "factor_grid", "replicates", "seed"},
+}
+
+REPLAY_CASES = {
+    "fpca": ("fpca", "fpca --input {s} --J 3 --out {o}"),
+    "depth": ("depth", "depth --input {s} --J 3 --M 200 --u 0.9 --seed 3 --out {o}"),
+    "depth-lambda-inf": ("depth", "depth --input {s} --J 3 --M 200 --lambda inf --seed 3 --out {o}"),
+    "depth-eval": ("depth", "depth --input {s} --eval {e} --J 3 --M 200 --u 0.5 --seed 3 --out {o}"),
+    "rank": ("depth", "rank --input {s} --J 3 --M 200 --u 0.9 --seed 3 --out {o}"),
+    "outliers-factor": (
+        "outliers",
+        "outliers --input {s} --J 3 --M 200 --u 0.95 --factor 3.0 --seed 5 --out {o}",
+    ),
+    "outliers-calibrate": (
+        "outliers",
+        "--threads 2 outliers --input {s} --J 3 --M 200 --u 0.95 --calibrate --B 2 --seed 5 --out {o}",
+    ),
+    "calibrate": ("calibrate", "calibrate --input {s} --J 3 --M 200 --u 0.9 --B 2 --seed 6 --out {o}"),
+    "simulate": ("simulate", "simulate --scenario {c} --seed 9 --out-sample {o} --out-labels {o}.lab"),
+    "bench": (
+        "bench",
+        "bench --scenario {c} --J 3 --M 100 --u-grid 0.5,0.9 --replicates 1 --seed 11 --out {o}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_manifest_argv_replays_byte_identical(case, cli_files):
+    command, template = REPLAY_CASES[case]
+    assert run([token.format(**cli_files) for token in template.split()]) == 0
+    out = cli_files["o"]
+    outputs = [out, out + ".lab"] if command == "simulate" else [out]
+    first = [open(path, "rb").read() for path in outputs]
+    with open(out + ".manifest.json", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    assert manifest["parameters"]["command"] == command
+    assert set(manifest["parameters"]) == MANIFEST_KEYS[command]
+    for path in outputs:
+        os.unlink(path)
+    assert run(manifest["argv"]) == 0
+    assert [open(path, "rb").read() for path in outputs] == first
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["outliers", "--input", "{s}", "--u", "0.9", "--factor", "nan"], "--factor"),
+        (["outliers", "--input", "{s}", "--u", "0.9", "--factor", "inf"], "--factor"),
+        (["depth", "--input", "{s}", "--lambda", "nan"], "--lambda"),
+        (["bench", "--scenario", "{c}", "--factor-grid", "1.5,nan"], "--factor-grid"),
+    ],
+)
+def test_non_finite_flag_exits_1(argv, flag, cli_files, capsys):
+    out = cli_files["o"]
+    argv = [token.format(**cli_files) for token in argv] + ["--seed", "1", "--out", out]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+    assert not os.path.exists(out)
+
+
+def test_oversized_csv_field_exits_1(tmp_path, capsys):
+    # one field past the csv module's 131072-character limit
+    path = tmp_path / "wide.csv"
+    path.write_text("0.0,1.0\n" + "1" * 200_000 + ",2.0\n")
+    argv = ["depth", "--input", str(path), "--u", "0.5", "--seed", "7"]
+    assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "wide.csv" in err
+    with pytest.raises(ValueError, match="wide.csv"):
+        read_labels(str(path))
+
+
+def test_bad_seed_message_names_its_source(sample_csv, tmp_path, capsys, monkeypatch):
+    argv = ["depth", "--input", sample_csv, "--u", "0.5", "--out", str(tmp_path / "d.csv")]
+    for env in ("abc", "-2"):
+        monkeypatch.setenv("RHDEPTH_SEED", env)
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "RHDEPTH_SEED" in err
+    assert run(argv + ["--seed", "-1"]) == 1  # the flag wins over the environment
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed" in err
+    assert not (tmp_path / "d.csv").exists()
+
+
+_ODD_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-0.5", "abc", "", "1e400", "0x10"]
+_ODD = st.one_of(
+    st.sampled_from(_ODD_NUMBERS),
+    st.floats().map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+)
+
+
+def _flag(name, *typical):
+    """[name, value] or nothing: a typical value half the time, else odd or left out."""
+    value = st.one_of(st.sampled_from(typical), st.sampled_from(typical), _ODD, st.none())
+    return value.map(lambda v: [] if v is None else [name, v])
+
+
+# --M and --B stay fixed and small: they size the work, and a huge --M
+# allocates M x J floats, a huge --B runs B null datasets.
+_FIXED = ["--M", "200", "--B", "2"]
+
+_FUZZ_ARGV = st.tuples(
+    st.sampled_from(["depth", "outliers"]),
+    st.one_of(  # mostly one of --u and --lambda, sometimes both
+        _flag("--u", "0.5", "0.9"),
+        _flag("--lambda", "inf", "2.5", "1e300"),
+        st.tuples(_flag("--u", "0.5"), _flag("--lambda", "inf")).map(lambda p: p[0] + p[1]),
+    ),
+    _flag("--factor", "1.5", "3.0", "1.7e308"),
+    _flag("--J", "2", "6", "16", "40"),
+    _flag("--seed", "0", "7", str(2**70)),
+    _flag("--threads", "1", "2", str(10**9)),
+    st.booleans(),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(drawn=_FUZZ_ARGV)
+def test_fuzzed_argv_exits_cleanly(drawn, sample_csv, tmp_path, monkeypatch):
+    command, reg, factor, J, seed, threads, calibrate = drawn
+    monkeypatch.delenv("RHDEPTH_SEED", raising=False)
+    monkeypatch.delenv("RHDEPTH_THREADS", raising=False)
+    out = tmp_path / "fuzz.out"
+    out.unlink(missing_ok=True)
+    argv = threads + [command, "--input", sample_csv] + reg + J + seed
+    if command == "outliers":
+        argv += _FIXED + factor + (["--calibrate"] if calibrate else [])
+    else:
+        argv += _FIXED[:2]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv + ["--out", str(out)])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    if out.exists():
+        text = out.read_text()
+        # an unregularized run (lambda = inf) reports lambda_used as JSON's Infinity
+        text = text.replace('"lambda_used": Infinity', "")
+        assert "NaN" not in text and "Infinity" not in text

@@ -71,6 +71,12 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect_outliers(eig, dirs, lam, 3.0)
 
+    def test_refuses_factor_without_finite_fences(self):
+        eig, dirs, lam = _fitted(generate_inliers(30, seed=0), J=3, M=100)
+        for factor in (0.0, -1.0, float("nan"), float("inf"), 1.7e308):
+            with pytest.raises(ValueError, match="factor"):
+                detect_outliers(eig, dirs, lam, factor)
+
     def test_shifted_curve_is_flagged(self):
         # one curve moved +10 pointwise SDs must be the unique flag
         hits = exact = 0

@@ -178,6 +178,9 @@ class TestRegularizationSpec:
             RegularizationSpec.from_quantile(1.0)
         with pytest.raises(ValueError):
             RegularizationSpec.from_lambda(0.0)
+        with pytest.raises(ValueError):
+            RegularizationSpec.from_lambda(float("nan"))
+        assert RegularizationSpec.from_lambda(float("inf")).lam == float("inf")
 
 
 class TestDepth:
