@@ -12,9 +12,11 @@ Exit codes: 1 for argument/validation errors (the message names the flag),
 2 for rank or empty-pool errors, 0 otherwise. Refused values: --u outside
 (0, 1); --lambda not positive, NaN included (inf means no regularization);
 --factor or a --factor-grid entry that is not positive and finite, or that
-overflows a fence; a negative seed; a thread count below 1.
+overflows a fence; a negative seed; a thread count below 1. JSON outputs
+and manifests are strict JSON: an infinite lambda is the string "inf".
 
-Scenario config files are plain key=value lines, e.g.:
+Scenario config files are plain key=value lines; the seed comes from
+--seed, not from the file. For example:
 
     n_inliers = 200
     outliers = magnitude:1, jump:1, wiggle:1, linear:1
@@ -157,7 +159,12 @@ def _reg_spec(args) -> RegularizationSpec:
 
 
 def parse_scenario_config(path: str) -> ScenarioSpec:
-    fields = {"n_inliers": None, "outliers": "", "p": 50, "J0": 15, "seed": 0}
+    """Read a key=value scenario file; a malformed one raises ValueError.
+
+    It holds no seed: `simulate` takes --seed, and `bench` derives one per
+    replicate from its --seed.
+    """
+    fields = {"n_inliers": None, "outliers": "", "p": 50, "J0": 15}
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
             line = raw.strip()
@@ -167,6 +174,8 @@ def parse_scenario_config(path: str) -> ScenarioSpec:
                 raise ValueError(f"{path}: malformed line {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
+            if key == "seed":
+                raise ValueError(f"{path}: unknown key 'seed': the seed comes from --seed")
             if key not in fields:
                 raise ValueError(f"{path}: unknown key {key!r}")
             fields[key] = value.strip()
@@ -180,10 +189,15 @@ def parse_scenario_config(path: str) -> ScenarioSpec:
     return ScenarioSpec(
         n_inliers=int(fields["n_inliers"]),
         outlier_counts=counts,
-        seed=int(fields["seed"]),
         p=int(fields["p"]),
         J0=int(fields["J0"]),
     )
+
+
+def _json_float(value):
+    """A float for strict JSON: inf, an unregularized lambda, as the string
+    "inf", as --lambda takes it and the depth CSV writes it."""
+    return "inf" if value == math.inf else value
 
 
 def _csv_text(header, rows) -> str:
@@ -240,7 +254,7 @@ def _outliers(args):
         "candidate_set": list(report.candidate_set),
         "flagged": list(report.flagged),
         "factor": report.factor,
-        "lambda_used": report.lambda_used,
+        "lambda_used": _json_float(report.lambda_used),
         "depths": [float(d) for d in report.depths],
         "fences": [dataclasses.asdict(f) for f in report.fences],
     }
@@ -346,6 +360,7 @@ def _run_command(args, argv, parser) -> int:
     }
     if seeded:
         params["seed"] = args.seed
+    params = {key: _json_float(value) for key, value in params.items()}
     manifest = {
         "argv": list(argv),
         "parameters": params,

@@ -36,6 +36,8 @@ class Grid:
         object.__setattr__(self, "weights", _frozen_array(self.weights))
         if self.points.ndim != 1 or self.points.size < 2:
             raise ValueError("grid needs at least two points")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("grid points must be finite")
         if self.weights.shape != self.points.shape:
             raise ValueError("points and weights must have the same length")
         if not np.all(np.diff(self.points) > 0):

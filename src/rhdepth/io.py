@@ -71,6 +71,8 @@ def read_sample(path: str) -> FunctionalSample:
     p = points.size
     if p < 2:
         raise ValueError(f"{path}: the grid needs at least 2 points, got {p}")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{path}: grid points must be finite")
     if p == 2:
         weights = np.array([0.5, 0.5]) * (points[1] - points[0])
     else:
@@ -126,8 +128,9 @@ def eigensystem_to_json(eig: EigenSystem) -> str:
         "scores": eig.scores.tolist(),
         "usable_rank": eig.usable_rank,
     }
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    """Write strict JSON: a NaN or infinite float raises ValueError."""
+    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")

@@ -148,25 +148,64 @@ def resolve_lambda(spec: RegularizationSpec, dirs: DirectionSet) -> float:
     return float(np.sort(dirs.rkhs_norms[:m])[k - 1])
 
 
+# Directions per block of the count kernel. It bounds the kernel's
+# temporaries to a few (block, q + n) arrays beside the (k, q) counts.
+_COUNT_BLOCK = 64
+
+
+def _tie_run_starts(rows: np.ndarray) -> np.ndarray:
+    """Per entry of each sorted row, the index of the first entry equal to it."""
+    starts = np.zeros(rows.shape, dtype=np.intp)
+    starts[:, 1:] = np.where(rows[:, 1:] != rows[:, :-1], np.arange(1, rows.shape[1]), 0)
+    return np.maximum.accumulate(starts, axis=1)
+
+
+def _merged_ranks(eval_rows: np.ndarray, sample_rows: np.ndarray) -> np.ndarray:
+    """Per entry of each sorted eval row, the number of entries of the same
+    sorted sample row that are below it (its lower-bound rank there)."""
+    b, q = eval_rows.shape
+    width = q + sample_rows.shape[1]
+    # A stable sort of two sorted runs is one merge. Among equal values the
+    # eval entries stay first, so the sample entries ahead of the j-th eval
+    # entry are exactly those below it: its position less j.
+    merged = np.argsort(np.hstack([eval_rows, sample_rows]), axis=1, kind="stable")
+    at = np.flatnonzero(merged < q).reshape(b, q) - (np.arange(b) * width)[:, None]
+    return at - np.arange(q)
+
+
 def _min_counts(sample_scores: np.ndarray, eval_scores: np.ndarray, coeff: np.ndarray):
     """Halfspace counts minimized over directions.
 
-    Returns (min_counts, per-point tuple of minimizing direction columns).
-    count[q, m] = #{i : (S_i - x_q) @ a_m >= 0}, computed per direction by
-    sorting the sample projections once and binary-searching the
-    evaluation projections.
+    count[m, j] = #{i : S_i·a_m >= x_j·a_m}, with S_i the sample scores, x_j
+    the evaluation scores and a_m the rows of coeff: n less the lower-bound
+    rank of x_j·a_m among the sample projections. Directions go in blocks
+    of _COUNT_BLOCK. Per direction the evaluation projections are sorted
+    once and ranked against the sorted sample projections by a stable
+    merge; when the evaluation scores are the sample scores, a rank is the
+    start of the value's tie run in that one sorted row, and no merge runs.
+
+    Returns (min_counts, (points, columns)): the minimum count per
+    evaluation point, and the (point, coeff row) pairs that attain it,
+    point-major with columns ascending.
     """
     n = sample_scores.shape[0]
     proj_sample = sample_scores @ coeff.T
-    proj_eval = eval_scores @ coeff.T
+    itself = np.array_equal(sample_scores, eval_scores)
+    proj_eval = proj_sample if itself else eval_scores @ coeff.T
     q, k = proj_eval.shape
-    counts = np.empty((q, k), dtype=np.int64)
-    for m in range(k):
-        col = np.sort(proj_sample[:, m])
-        counts[:, m] = n - np.searchsorted(col, proj_eval[:, m], side="left")
-    min_counts = counts.min(axis=1)
-    argmins = tuple(np.flatnonzero(counts[i] == min_counts[i]) for i in range(q))
-    return min_counts, argmins
+    counts = np.empty((k, q), dtype=np.int32)
+    for lo in range(0, k, _COUNT_BLOCK):
+        block = slice(lo, lo + _COUNT_BLOCK)
+        rows = np.ascontiguousarray(proj_eval[:, block].T)
+        order = np.argsort(rows, axis=1)
+        rows.sort(axis=1)
+        if itself:
+            ranks = _tie_run_starts(rows)
+        else:
+            ranks = _merged_ranks(rows, np.sort(proj_sample[:, block].T, axis=1))
+        np.put_along_axis(counts[block], order, n - ranks, axis=1)
+    min_counts = counts.min(axis=0)
+    return min_counts, np.nonzero((counts == min_counts).T)
 
 
 def depth_from_scores(
@@ -175,18 +214,24 @@ def depth_from_scores(
     sample_scores: np.ndarray,
     eval_scores: np.ndarray,
 ) -> DepthResult:
-    """Approximate depth evaluated directly on score matrices."""
+    """Approximate depth evaluated directly on score matrices.
+
+    The depth at x is the minimum over accepted directions a of the
+    fraction of sample rows S_i with S_i·a >= x·a.
+    """
     accepted = dirs.accepted(lam)
     if accepted.size == 0:
         raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
     J = dirs.truncation
-    min_counts, argmins = _min_counts(
+    min_counts, (points, columns) = _min_counts(
         sample_scores[:, :J], eval_scores[:, :J], dirs.coefficients[accepted]
     )
     n = sample_scores.shape[0]
+    # Every point has at least one minimizing direction; the last piece is empty.
+    ends = np.cumsum(np.bincount(points, minlength=min_counts.size))
     return DepthResult(
         depths=min_counts / n,
-        minimizing_directions=tuple(accepted[a] for a in argmins),
+        minimizing_directions=tuple(np.split(accepted[columns], ends)[:-1]),
         lambda_used=float(lam),
         accepted_count=int(accepted.size),
         n=n,
@@ -199,9 +244,9 @@ def approximate_rhd(
     """Approximate sample depth at each evaluation curve.
 
     Evaluation curves are projected with the sample's eigenfunctions; the
-    depth at x is the minimum over accepted directions of the fraction of
-    sample curves i with (scores_i - scores_x) @ a >= 0. Minimizing
-    direction indices refer to the full pool; ties are kept.
+    depth at x is the minimum over accepted directions a of the fraction
+    of sample curves i with scores_i·a >= scores_x·a. Minimizing direction
+    indices refer to the full pool; ties are kept.
     """
     eval_scores = eig.project(eval_points)
     return depth_from_scores(dirs, lam, eig.scores, eval_scores)

@@ -34,6 +34,8 @@ OUTLIER_KINDS = (
 
 DEFAULT_GRID_SIZE = 50
 DEFAULT_TRUNCATION = 15
+# The phase outlier moves KL amplitude from terms 2, 3 to terms 8, 9.
+PHASE_MIN_J0 = 9
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -216,6 +218,10 @@ class ScenarioSpec:
     J0: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
+        if self.J0 < 1:
+            raise ValueError(f"J0 must be at least 1, got {self.J0}")
+        if self.outlier_counts.get("phase") and self.J0 < PHASE_MIN_J0:
+            raise ValueError(f"phase outliers need J0 >= {PHASE_MIN_J0}, got {self.J0}")
         for kind, count in self.outlier_counts.items():
             if kind not in OUTLIER_KINDS:
                 raise ValueError(f"unknown outlier kind {kind!r}")

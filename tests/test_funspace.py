@@ -49,6 +49,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid([0.0, 0.5, 1.0], [0.5, 0.5, 0.5])
 
+    def test_non_finite_points_rejected(self):
+        # an infinite span made the weight-sum check compare NaN and pass
+        with pytest.raises(ValueError, match="finite"):
+            Grid([0.0, np.inf], [np.inf, np.inf])
+
 
 class TestInnerProduct:
     def test_constants(self):

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,13 @@ class TestScenarioConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n_inliers = 10\nbogus = 3\n")
         with pytest.raises(ValueError):
+            parse_scenario_config(str(cfg))
+
+    def test_seed_key_refused(self, tmp_path):
+        # no output depends on a config seed; simulate and bench take --seed
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text("n_inliers = 10\nseed = 5\n")
+        with pytest.raises(ValueError, match="unknown key 'seed'.*--seed"):
             parse_scenario_config(str(cfg))
 
     def test_missing_required_key(self, tmp_path):
@@ -213,6 +221,17 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "at least 2 points" in err
+
+    def test_non_finite_grid_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "inf_grid.csv"
+        path.write_text("0.0,inf\n1.0,2.0\n3.0,4.0\n")
+        argv = ["depth", "--input", str(path), "--u", "0.5", "--seed", "7"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy warning would be a second stderr line
+            code = run(argv + ["--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "inf_grid.csv" in err and "finite" in err
 
     def test_threads_below_one_exits_1(self, sample_csv, tmp_path, capsys):
         argv = ["depth", "--input", sample_csv, "--u", "0.5", "--seed", "7"]
@@ -451,6 +470,14 @@ def test_bad_seed_message_names_its_source(sample_csv, tmp_path, capsys, monkeyp
     assert not (tmp_path / "d.csv").exists()
 
 
+def _run_quietly(argv):
+    """run(argv) with stderr captured: (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
 _ODD_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-0.5", "abc", "", "1e400", "0x10"]
 _ODD = st.one_of(
     st.sampled_from(_ODD_NUMBERS),
@@ -501,13 +528,131 @@ def test_fuzzed_argv_exits_cleanly(drawn, sample_csv, tmp_path, monkeypatch):
         argv += _FIXED + factor + (["--calibrate"] if calibrate else [])
     else:
         argv += _FIXED[:2]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = run(argv + ["--out", str(out)])
+    code, err = _run_quietly(argv + ["--out", str(out)])
     assert code in (0, 1, 2)
-    assert err.getvalue().count("\n") <= 1
-    if out.exists():
-        text = out.read_text()
-        # an unregularized run (lambda = inf) reports lambda_used as JSON's Infinity
-        text = text.replace('"lambda_used": Infinity', "")
-        assert "NaN" not in text and "Infinity" not in text
+    assert err.count("\n") <= 1
+    for path in (out, tmp_path / "fuzz.out.manifest.json"):
+        if path.exists():
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text
+
+
+def test_lambda_inf_json_is_strict(cli_files):
+    out = cli_files["o"]
+    argv = ["outliers", "--input", cli_files["s"], "--J", "3", "--M", "200"]
+    assert run(argv + ["--lambda", "inf", "--factor", "3.0", "--seed", "5", "--out", out]) == 0
+
+    def refuse(token):
+        raise ValueError(f"bare {token} in JSON")
+
+    for path in (out, out + ".manifest.json"):
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle, parse_constant=refuse)
+        params = payload.get("parameters", payload)
+        assert params["lambda_used"] == "inf"
+    assert params["lambda"] == "inf"
+
+
+# Reader fuzz: generated file text either parses or is refused with a
+# ValueError, and through the CLI a refused file exits 1 with one line.
+_TOKENS = ["", "abc", "nan", "inf", "-inf", "1e400", " 1", "0x10", '"1"', "1_0", "\x00", "é"]
+_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["0.0", "0.5", "1.0"]),
+    st.sampled_from(_TOKENS),
+)
+_CSV_ROWS = st.lists(st.lists(_FIELD, max_size=4).map(",".join), max_size=6)
+_SAMPLE_TEXT = st.one_of(
+    _CSV_ROWS.map("\n".join),
+    # a valid grid row, so that the curve rows decide
+    _CSV_ROWS.map(lambda rows: "\n".join(["0.0,0.5,1.0", *rows])),
+)
+_LABELS_TEXT = st.one_of(
+    _CSV_ROWS.map("\n".join),
+    st.lists(st.tuples(st.integers(-1, 4), st.sampled_from(["inlier", "jump", ""])), max_size=5).map(
+        lambda rows: "\n".join(["index,label", *(f"{i},{lab}" for i, lab in rows)])
+    ),
+)
+_CONFIG_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(["n_inliers", "outliers", "p", "J0", "seed", "bogus", ""]),
+        st.sampled_from(["=", " = ", ":", ""]),
+        st.one_of(
+            st.integers(-2, 12).map(str),
+            st.sampled_from(_TOKENS),
+            st.sampled_from(["jump:1, wiggle", "phase:2", "magnitude:x", "jump:-1", "bogus:1", ",,"]),
+        ),
+    ).map("".join),
+    st.sampled_from(["# comment", "", "   "]),
+    st.text(max_size=12),
+)
+_CONFIG_LINES = st.lists(_CONFIG_LINE, max_size=6)
+_CONFIG_TEXT = st.one_of(
+    _CONFIG_LINES.map("\n".join),
+    # a valid first line, so that the other lines decide
+    _CONFIG_LINES.map(lambda lines: "\n".join(["n_inliers = 6", *lines])),
+)
+
+
+def _file_bytes(text):
+    """The text as UTF-8, or arbitrary bytes now and then."""
+    return st.one_of(text.map(lambda t: t.encode("utf-8", "surrogatepass")), st.binary(max_size=40))
+
+
+def _parses(read, path) -> bool:
+    try:
+        read(path)
+    except ValueError:
+        return False
+    return True
+
+
+_FUZZ_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_FUZZ_SETTINGS
+@given(data=_file_bytes(_SAMPLE_TEXT))
+def test_fuzzed_sample_file(data, tmp_path):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    parsed = _parses(read_sample, str(path))
+    out = tmp_path / "depth.csv"
+    out.unlink(missing_ok=True)
+    argv = ["depth", "--input", str(path), "--J", "1", "--M", "20", "--u", "0.5", "--seed", "1"]
+    code, err = _run_quietly(argv + ["--out", str(out)])
+    if parsed:
+        assert code in (0, 1, 2) and err.count("\n") <= 1
+    else:
+        assert code == 1 and err.count("\n") == 1
+        assert not out.exists()
+
+
+@_FUZZ_SETTINGS
+@given(data=_file_bytes(_LABELS_TEXT))
+def test_fuzzed_labels_file(data, tmp_path):
+    path = tmp_path / "fuzz_labels.csv"
+    path.write_bytes(data)
+    if _parses(read_labels, str(path)):
+        assert all(isinstance(label, str) for label in read_labels(str(path)))
+
+
+@_FUZZ_SETTINGS
+@given(data=_file_bytes(_CONFIG_TEXT))
+def test_fuzzed_scenario_file(data, tmp_path):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    parsed = _parses(parse_scenario_config, str(path))
+    out = tmp_path / "sim.csv"
+    out.unlink(missing_ok=True)
+    argv = ["simulate", "--scenario", str(path), "--seed", "1"]
+    code, err = _run_quietly(argv + ["--out-sample", str(out), "--out-labels", f"{out}.lab"])
+    if parsed:
+        assert code in (0, 1) and err.count("\n") <= 1
+    else:
+        assert code == 1 and err.count("\n") == 1
+        assert not out.exists()

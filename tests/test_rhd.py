@@ -17,7 +17,7 @@ from rhdepth import (
     resolve_lambda,
 )
 from rhdepth.funspace import fit_fpca
-from rhdepth.rhd import depth_from_scores
+from rhdepth.rhd import _COUNT_BLOCK, _min_counts, depth_from_scores
 from rhdepth.simlab import generate_inliers
 
 
@@ -265,3 +265,90 @@ class TestDepth:
         assert res.accepted_count == int((dirs.rkhs_norms <= lam).sum())
         assert res.lambda_used == lam
         assert res.n == 30
+
+
+def _reference_min_counts(sample_scores, eval_scores, coeff):
+    """The kernel the blocked one replaced: per direction, sort the sample
+    projections and binary-search every evaluation projection."""
+    n = sample_scores.shape[0]
+    proj_sample = sample_scores @ coeff.T
+    proj_eval = eval_scores @ coeff.T
+    q, k = proj_eval.shape
+    counts = np.empty((q, k), dtype=np.int64)
+    for m in range(k):
+        col = np.sort(proj_sample[:, m])
+        counts[:, m] = n - np.searchsorted(col, proj_eval[:, m], side="left")
+    min_counts = counts.min(axis=1)
+    argmins = [np.flatnonzero(counts[i] == min_counts[i]) for i in range(q)]
+    points = np.repeat(np.arange(q), [a.size for a in argmins])
+    return min_counts, points, np.concatenate(argmins)
+
+
+def _kernel_case(name, k):
+    """(sample scores, eval scores, coefficients) of one named case."""
+    rng = np.random.default_rng(k)
+    if name in ("self", "eval"):
+        sample = rng.standard_normal((40, 3))
+        coeff = rng.standard_normal((k, 3))
+        return sample, sample if name == "self" else rng.standard_normal((55, 3)), coeff
+    if name in ("ties_self", "ties_eval"):
+        # J=1 integer scores: most projections tie, and the unit rows are
+        # +-1, so most directions tie too
+        sample = rng.integers(-3, 4, size=(60, 1)).astype(float)
+        coeff = rng.choice([-1.0, 1.0], size=(k, 1))
+        if name == "ties_self":
+            return sample, sample, coeff
+        return sample, rng.integers(-4, 5, size=(70, 1)).astype(float), coeff
+    if name == "integer_plane":
+        # exact integer projections in J=2, self-depth
+        sample = rng.integers(-2, 3, size=(50, 2)).astype(float)
+        return sample, sample.copy(), rng.integers(-2, 3, size=(k, 2)).astype(float)
+    if name == "duplicated":
+        sample = np.repeat(rng.standard_normal((15, 3)), 3, axis=0)
+        return sample, sample, rng.standard_normal((k, 3))
+    if name == "copies_in_eval":
+        # exact copies of sample rows among fresh points, in shuffled order
+        sample = rng.integers(-2, 3, size=(30, 2)).astype(float)
+        eval_scores = np.vstack([sample[::2], rng.integers(-3, 4, size=(20, 2))])
+        coeff = rng.integers(-2, 3, size=(k, 2)).astype(float)
+        return sample, eval_scores[rng.permutation(len(eval_scores))], coeff
+    raise ValueError(name)
+
+
+_KERNEL_CASES = (
+    "self", "eval", "ties_self", "ties_eval", "integer_plane", "duplicated", "copies_in_eval"
+)
+
+
+class TestCountKernel:
+    @pytest.mark.parametrize("k", [1, _COUNT_BLOCK, _COUNT_BLOCK + 1, 3 * _COUNT_BLOCK + 5])
+    @pytest.mark.parametrize("name", _KERNEL_CASES)
+    def test_matches_per_direction_search(self, name, k):
+        sample, eval_scores, coeff = _kernel_case(name, k)
+        ref_min, ref_points, ref_columns = _reference_min_counts(sample, eval_scores, coeff)
+        min_counts, (points, columns) = _min_counts(sample, eval_scores, coeff)
+        assert np.array_equal(min_counts, ref_min)
+        assert np.array_equal(points, ref_points)
+        assert np.array_equal(columns, ref_columns)
+
+    def test_minimizing_directions_map_to_the_pool(self):
+        sample, eval_scores, coeff = _kernel_case("ties_eval", _COUNT_BLOCK + 1)
+        # about half the pool accepted, at scattered indices
+        norms = np.random.default_rng(0).permutation(coeff.shape[0]) + 1.0
+        dirs = DirectionSet(1, coeff, norms, seed=0)
+        lam = float(coeff.shape[0] // 2)
+        accepted = dirs.accepted(lam)
+        res = depth_from_scores(dirs, lam, sample, eval_scores)
+        ref_min, ref_points, ref_columns = _reference_min_counts(
+            sample, eval_scores, coeff[accepted]
+        )
+        assert np.array_equal(res.depths, ref_min / sample.shape[0])
+        assert len(res.minimizing_directions) == eval_scores.shape[0]
+        for i, found in enumerate(res.minimizing_directions):
+            assert np.array_equal(found, accepted[ref_columns[ref_points == i]])
+
+    def test_empty_eval_set(self):
+        dirs = _pool([[1.0], [-1.0]], [1.0])
+        res = depth_from_scores(dirs, 10.0, np.zeros((3, 1)), np.zeros((0, 1)))
+        assert res.depths.shape == (0,)
+        assert res.minimizing_directions == ()

@@ -172,3 +172,12 @@ class TestScenario:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec(n_inliers=10, outlier_counts={"banana": 1}, seed=0)
+
+    def test_truncation_checked(self):
+        # J0 = 0 has no basis function, and a phase outlier moves KL terms 2, 3 to 8, 9
+        with pytest.raises(ValueError, match="J0"):
+            ScenarioSpec(n_inliers=10, J0=0)
+        with pytest.raises(ValueError, match="phase"):
+            ScenarioSpec(n_inliers=10, outlier_counts={"phase": 1}, J0=8)
+        spec = ScenarioSpec(n_inliers=10, outlier_counts={"phase": 1}, J0=9)
+        assert generate_scenario(spec)[0].n == 11
