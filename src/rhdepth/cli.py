@@ -34,6 +34,7 @@ import argparse
 import dataclasses
 import math
 import os
+import re
 import sys
 import time
 from importlib.metadata import PackageNotFoundError, version
@@ -57,6 +58,13 @@ from .simlab import ScenarioSpec, generate_scenario
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token that starts like a negative number (-1e-3, -inf, -nan) is a
+        # value, so that its flag's range check names it; argparse's own
+        # pattern takes only plain decimals and reads the rest as options.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits with status 2 on bad arguments; the contract here is 1.
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -159,38 +167,54 @@ def _reg_spec(args) -> RegularizationSpec:
 
 
 def parse_scenario_config(path: str) -> ScenarioSpec:
-    """Read a key=value scenario file; a malformed one raises ValueError.
+    """Read a key=value scenario file; a malformed one raises ValueError
+    naming it.
 
     It holds no seed: `simulate` takes --seed, and `bench` derives one per
     replicate from its --seed.
     """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return _scenario_from_lines(handle.read().splitlines())
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _config_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {text!r}") from None
+
+
+def _scenario_from_lines(lines) -> ScenarioSpec:
     fields = {"n_inliers": None, "outliers": "", "p": 50, "J0": 15}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: malformed line {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key == "seed":
-                raise ValueError(f"{path}: unknown key 'seed': the seed comes from --seed")
-            if key not in fields:
-                raise ValueError(f"{path}: unknown key {key!r}")
-            fields[key] = value.strip()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed line {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key == "seed":
+            raise ValueError("unknown key 'seed': the seed comes from --seed")
+        if key not in fields:
+            raise ValueError(f"unknown key {key!r}")
+        fields[key] = value.strip()
     if fields["n_inliers"] is None:
-        raise ValueError(f"{path}: n_inliers is required")
+        raise ValueError("n_inliers is required")
     counts = {}
     if fields["outliers"]:
         for item in str(fields["outliers"]).split(","):
             kind, _, count = item.strip().partition(":")
-            counts[kind.strip()] = int(count) if count else 1
+            kind = kind.strip()
+            counts[kind] = _config_int(f"the count of {kind!r}", count) if count else 1
     return ScenarioSpec(
-        n_inliers=int(fields["n_inliers"]),
+        n_inliers=_config_int("n_inliers", fields["n_inliers"]),
         outlier_counts=counts,
-        p=int(fields["p"]),
-        J0=int(fields["J0"]),
+        p=_config_int("p", fields["p"]),
+        J0=_config_int("J0", fields["J0"]),
     )
 
 

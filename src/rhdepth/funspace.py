@@ -1,9 +1,11 @@
 """Discretized functional samples and empirical functional PCA.
 
 Curves live on a shared grid in [0, 1]; the L2 inner product is a weighted
-sum with trapezoidal quadrature weights. The eigendecomposition of the
-sample covariance operator goes through the n x n Gram matrix of centered,
-weight-scaled curves, so the cost is O(n^2 p + n^3) regardless of p.
+sum with trapezoidal quadrature weights. The sample covariance operator's
+eigenpairs come from one thin SVD of the centered curves scaled by the
+square roots of the weights, at a cost of O(n p min(n, p)) whichever of n
+and p is larger; the SVD also avoids the squared condition number of a
+covariance or Gram matrix.
 """
 
 from __future__ import annotations
@@ -128,33 +130,24 @@ class EigenSystem:
 
 def usable_rank(sample: FunctionalSample) -> int:
     """Number of strictly positive eigenvalues of the sample covariance."""
-    eigvals, _, _, _, scale = _gram_eigvals(sample)
-    return _count_positive(eigvals, scale)
+    return _thin_svd(sample)[3]
 
 
-def _gram_eigvals(sample: FunctionalSample):
+def _thin_svd(sample: FunctionalSample):
+    """Mean, descending eigenvalues, eigenvectors in sqrt(w) coordinates
+    (rows of vt), and usable rank, from one thin SVD of the weighted data."""
     w = sample.grid.weights
     mean = sample.values.mean(axis=0)
-    z = (sample.values - mean) * np.sqrt(w)
-    gram = z @ z.T / sample.n
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    order = np.argsort(eigvals)[::-1]
-    # Rank floor in the data's own squared scale: centering residuals of a
-    # constant sample leave eigenvalues ~1e-32 that must not count as rank.
-    scale = float(np.mean((sample.values * np.sqrt(w)) ** 2))
-    return eigvals[order], eigvecs[:, order], z, mean, scale
-
-
-def _count_positive(eigvals: np.ndarray, scale: float) -> int:
-    top = eigvals[0] if eigvals.size else 0.0
-    floor = scale * RANK_RTOL
-    if top <= floor:
-        return 0
-    return int(np.sum(eigvals > max(top * RANK_RTOL, floor)))
+    _, s, vt = np.linalg.svd((sample.values - mean) * np.sqrt(w), full_matrices=False)
+    eigvals = s**2 / sample.n
+    # Rank floor also in the data's own squared scale: centering residuals of
+    # a constant sample leave eigenvalues ~1e-32 that must not count as rank.
+    scale = max(eigvals[0], float(np.mean((sample.values * np.sqrt(w)) ** 2)))
+    return mean, eigvals, vt, int(np.sum(eigvals > scale * RANK_RTOL))
 
 
 def fit_fpca(sample: FunctionalSample, J: int) -> EigenSystem:
-    """Top-J empirical eigenpairs via the Gram (duality) decomposition.
+    """Top-J empirical eigenpairs from a thin SVD of the weighted data.
 
     Raises RankError when J exceeds the number of strictly positive
     eigenvalues, since the truncated inverse square root would be
@@ -167,15 +160,11 @@ def fit_fpca(sample: FunctionalSample, J: int) -> EigenSystem:
     if J > min(sample.n - 1, len(sample.grid)):
         raise ValueError(f"J={J} exceeds min(n-1, p)={min(sample.n - 1, len(sample.grid))}")
 
-    eigvals, eigvecs, z, mean, scale = _gram_eigvals(sample)
-    rank = _count_positive(eigvals, scale)
+    mean, eigvals, vt, rank = _thin_svd(sample)
     if J > rank:
         raise RankError(J, rank)
 
-    gamma = eigvals[:J].copy()
-    # psi rows are orthonormal in the sqrt-weighted coordinates.
-    psi = (z.T @ eigvecs[:, :J]) / np.sqrt(sample.n * gamma)
-    phi = (psi / np.sqrt(sample.grid.weights)[:, None]).T
+    phi = vt[:J] / np.sqrt(sample.grid.weights)
 
     # Deterministic sign: the largest-magnitude coordinate is positive.
     lead = np.abs(phi).argmax(axis=1)
@@ -186,7 +175,7 @@ def fit_fpca(sample: FunctionalSample, J: int) -> EigenSystem:
     return EigenSystem(
         grid=sample.grid,
         mean=mean,
-        eigenvalues=gamma,
+        eigenvalues=eigvals[:J],
         eigenfunctions=phi,
         scores=scores,
         usable_rank=rank,

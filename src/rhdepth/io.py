@@ -53,41 +53,56 @@ def write_sample(path: str, sample: FunctionalSample) -> None:
 
 def _read_csv(path: str) -> list:
     """All rows of a CSV file; a malformed one (say, a field over the csv
-    module's size limit) raises ValueError naming the file."""
+    module's size limit, or bytes that are not UTF-8) raises ValueError
+    naming the file."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             return list(csv.reader(handle))
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def read_sample(path: str) -> FunctionalSample:
-    """Load a curve CSV; the grid gets trapezoidal weights."""
+    """Load a curve CSV; the grid gets trapezoidal weights. A file that holds
+    no usable sample raises ValueError naming it."""
     rows = [row for row in _read_csv(path) if row]
+    try:
+        return _sample_from_rows(rows)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _sample_from_rows(rows) -> FunctionalSample:
     if len(rows) < 2:
-        raise ValueError(f"{path}: need a grid row and at least one curve row")
+        raise ValueError("need a grid row and at least one curve row")
     points = np.array([float(v) for v in rows[0]])
     values = np.array([[float(v) for v in row] for row in rows[1:]])
     p = points.size
     if p < 2:
-        raise ValueError(f"{path}: the grid needs at least 2 points, got {p}")
+        raise ValueError(f"the grid needs at least 2 points, got {p}")
     if not np.isfinite(points).all():
-        raise ValueError(f"{path}: grid points must be finite")
-    if p == 2:
-        weights = np.array([0.5, 0.5]) * (points[1] - points[0])
-    else:
+        raise ValueError("grid points must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = points[-1] - points[0]
         gaps = np.diff(points)
-        weights = np.empty(p)
-        weights[0] = gaps[0] / 2
-        weights[-1] = gaps[-1] / 2
-        weights[1:-1] = (gaps[:-1] + gaps[1:]) / 2
+        weights = np.concatenate(([gaps[0]], gaps[:-1] + gaps[1:], [gaps[-1]])) / 2
+    if not np.isfinite(span):
+        raise ValueError("the grid span overflows")
     if np.allclose(points, np.linspace(points[0], points[-1], p)) and np.isclose(
         points[0], 0.0
     ) and np.isclose(points[-1], 1.0):
         grid = make_uniform_grid(p)
     else:
         grid = Grid(points, weights)
-    return FunctionalSample(grid, values)
+    sample = FunctionalSample(grid, values)
+    with np.errstate(over="ignore"):
+        # FPCA squares the centered curves scaled by sqrt(w) and sums the
+        # squares: a centered square is at most 4x the largest uncentered
+        # one, and the centered sum at most the uncentered sum.
+        energy = 4 * np.sum(grid.weights * np.square(sample.values))
+    if not np.isfinite(energy):
+        raise ValueError("curve values are too large: their weighted squares overflow")
+    return sample
 
 
 def labels_to_csv(labels) -> str:

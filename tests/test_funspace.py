@@ -14,6 +14,7 @@ from rhdepth import (
     make_uniform_grid,
     usable_rank,
 )
+from rhdepth.funspace import RANK_RTOL
 from rhdepth.simlab import eigenvalue_tail_sums, generate_inliers
 
 
@@ -169,3 +170,60 @@ class TestFpca:
         a = fit_fpca(s, 3)
         b = fit_fpca(scaled, 3)
         assert np.allclose(b.eigenvalues, c * c * a.eigenvalues, rtol=1e-9)
+
+
+def _gram_reference(sample, J):
+    """The n x n Gram-matrix fit that the thin SVD replaced: (usable rank,
+    eigenvalues, sign-fixed eigenfunctions, scores), the last three None
+    when J exceeds the rank."""
+    w = sample.grid.weights
+    z = (sample.values - sample.values.mean(axis=0)) * np.sqrt(w)
+    eigvals, eigvecs = np.linalg.eigh(z @ z.T / sample.n)
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    floor = float(np.mean((sample.values * np.sqrt(w)) ** 2)) * RANK_RTOL
+    if eigvals[0] <= floor:
+        rank = 0
+    else:
+        rank = int(np.sum(eigvals > max(eigvals[0] * RANK_RTOL, floor)))
+    if J > rank:
+        return rank, None, None, None
+    gamma = eigvals[:J]
+    psi = (z.T @ eigvecs[:, :J]) / np.sqrt(sample.n * gamma)
+    phi = (psi / np.sqrt(w)[:, None]).T
+    lead = np.abs(phi).argmax(axis=1)
+    phi = phi * np.sign(phi[np.arange(J), lead])[:, None]
+    return rank, gamma, phi, sample.values @ (phi * w).T
+
+
+def _duplicated(n, seed):
+    s = generate_inliers(n, seed=seed)
+    return FunctionalSample(s.grid, np.vstack([s.values, s.values]))
+
+
+_REFERENCE_CASES = {
+    "n>p": lambda: generate_inliers(401, seed=11),
+    "n<p": lambda: generate_inliers(40, seed=12, p=200, J0=60),
+    "n=p": lambda: generate_inliers(50, seed=13),
+    "duplicated": lambda: _duplicated(30, seed=14),
+    "constant": lambda: FunctionalSample(
+        make_uniform_grid(50), np.tile(np.sin(np.linspace(0, 3, 50)), (8, 1))
+    ),
+}
+
+
+class TestGramReference:
+    @pytest.mark.parametrize("name", _REFERENCE_CASES)
+    def test_fit_matches_gram_eigendecomposition(self, name):
+        sample = _REFERENCE_CASES[name]()
+        rank, gamma, phi, scores = _gram_reference(sample, 6)
+        assert usable_rank(sample) == rank
+        if gamma is None:
+            with pytest.raises(RankError) as err:
+                fit_fpca(sample, 6)
+            assert err.value.usable_rank == rank
+            return
+        eig = fit_fpca(sample, 6)
+        assert eig.usable_rank == rank
+        for got, ref in ((eig.eigenvalues, gamma), (eig.eigenfunctions, phi), (eig.scores, scores)):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())

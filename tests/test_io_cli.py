@@ -470,6 +470,70 @@ def test_bad_seed_message_names_its_source(sample_csv, tmp_path, capsys, monkeyp
     assert not (tmp_path / "d.csv").exists()
 
 
+# Each file holds one defect that a reader refuses; the message must name the file.
+_BAD_FILES = {
+    "sample-not-utf8": ("bad.csv", b"\xff0.0,1.0\n1.0,2.0\n3.0,4.0\n"),
+    "sample-not-numeric": ("bad.csv", b"0.0,1.0\nx,2.0\n3.0,4.0\n"),
+    "scenario-not-utf8": ("bad.cfg", b"n_inliers = 6\n\xff\n"),
+    "scenario-not-integer": ("bad.cfg", b"n_inliers = abc\n"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_FILES)
+def test_reader_error_names_the_file(case, tmp_path, capsys):
+    name, data = _BAD_FILES[case]
+    path = tmp_path / name
+    path.write_bytes(data)
+    out = str(tmp_path / "out.csv")
+    if name.endswith(".csv"):
+        argv = ["depth", "--input", str(path), "--u", "0.5", "--seed", "1", "--out", out]
+    else:
+        argv = ["simulate", "--scenario", str(path), "--seed", "1"]
+        argv += ["--out-sample", out, "--out-labels", out + ".lab"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0,1e308\n1,2\n3,5\n4,4\n", "overflow"),  # huge quadrature weights
+        ("0,0.5,1\n1e200,1,2\n1,2,3\n1,1,1\n", "overflow"),  # a huge curve value
+        ("-1e308,0,1e308\n1,2,3\n1,3,4\n", "span"),  # finite points, infinite span
+    ],
+    ids=["huge-weights", "huge-value", "infinite-span"],
+)
+def test_overflowing_sample_refused(text, message, tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as err:
+        read_sample(str(path))
+    assert "huge.csv" in str(err.value)
+    argv = ["depth", "--input", str(path), "--J", "1", "--u", "0.5", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "huge.csv" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["depth", "--u", "-1e-3"], "--u must lie in (0, 1)"),
+        (["depth", "--lambda", "-inf"], "--lambda must be positive"),
+        (["outliers", "--u", "0.5", "--factor", "-2.5e1"], "argument --factor: must be positive"),
+    ],
+    ids=["u", "lambda", "factor"],
+)
+def test_negative_values_reach_the_range_check(flags, message, cli_files, capsys):
+    # argparse's own pattern reads only plain decimals such as -0.5 as values
+    argv = [*flags, "--input", cli_files["s"], "--seed", "1", "--out", cli_files["o"]]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 def _run_quietly(argv):
     """run(argv) with stderr captured: (exit code, stderr text)."""
     err = io.StringIO()
@@ -615,6 +679,7 @@ _FUZZ_SETTINGS = settings(
 )
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 @_FUZZ_SETTINGS
 @given(data=_file_bytes(_SAMPLE_TEXT))
 def test_fuzzed_sample_file(data, tmp_path):
@@ -632,6 +697,7 @@ def test_fuzzed_sample_file(data, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 @_FUZZ_SETTINGS
 @given(data=_file_bytes(_LABELS_TEXT))
 def test_fuzzed_labels_file(data, tmp_path):
@@ -641,6 +707,7 @@ def test_fuzzed_labels_file(data, tmp_path):
         assert all(isinstance(label, str) for label in read_labels(str(path)))
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 @_FUZZ_SETTINGS
 @given(data=_file_bytes(_CONFIG_TEXT))
 def test_fuzzed_scenario_file(data, tmp_path):
