@@ -18,6 +18,10 @@ from .errors import RankError
 
 # Eigenvalues below max_eig * RANK_RTOL are treated as numerically zero.
 RANK_RTOL = 1e-10
+# Nor does an eigenvalue below this absolute floor, sqrt of the smallest
+# normal double (about 1.5e-154), count toward the rank: the direction
+# pool divides by the eigenvalues, and beneath it those quotients overflow.
+_EIGVAL_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -143,7 +147,8 @@ def _thin_svd(sample: FunctionalSample):
     # Rank floor also in the data's own squared scale: centering residuals of
     # a constant sample leave eigenvalues ~1e-32 that must not count as rank.
     scale = max(eigvals[0], float(np.mean((sample.values * np.sqrt(w)) ** 2)))
-    return mean, eigvals, vt, int(np.sum(eigvals > scale * RANK_RTOL))
+    floor = max(scale * RANK_RTOL, _EIGVAL_FLOOR)
+    return mean, eigvals, vt, int(np.sum(eigvals > floor))
 
 
 def fit_fpca(sample: FunctionalSample, J: int) -> EigenSystem:

@@ -5,9 +5,10 @@ directions define univariate projections, and a boxplot fence
 [Q1 - f*IQR, Q3 + f*IQR] flags points strictly outside. The final outlier
 set is the union of fence flags intersected with the candidate set.
 
-Q1 and Q3 are computed once per distinct minimizing direction, in one
-batched percentile call, and reused for every factor; to pick the final
-set only the candidates are tested. `detect_outliers` and
+Q1 and Q3 come from the count kernel's self-depth pass, which sorts the
+sample projections along every accepted direction anyway: the depths,
+the projections and the quartiles of one pass serve every factor, and to
+pick the final set only the candidates are tested. `detect_outliers` and
 `flag_candidates` (which the calibration null datasets and
 `evalkit.roc_table` call) share this one fence path.
 
@@ -68,7 +69,8 @@ class _CandidateQuartiles:
 
     `pairs` lists (candidate, direction, column) per minimizing direction of
     each candidate, candidates ascending; `projections[:, column]` is the
-    sample projected on that direction, one column per distinct direction.
+    sample projected on that direction, one column per distinct direction,
+    and `q1`, `q3` its quartiles, all taken from the count kernel's pass.
     """
 
     depths: np.ndarray
@@ -102,25 +104,22 @@ class _CandidateQuartiles:
 
 def _candidate_quartiles(eig: EigenSystem, dirs: DirectionSet, lam: float):
     """Depths of the sample, its minimal-depth candidates, and Q1 and Q3 of
-    the sample projected on each distinct minimizing direction."""
+    the sample projected on each distinct minimizing direction, read off
+    the count kernel's self-depth pass."""
     result = depth_from_scores(dirs, lam, eig.scores, eig.scores)
     candidates = np.flatnonzero(result.depths == result.depths.min())
     per_candidate = [result.minimizing_directions[i] for i in candidates]
     pair_dirs = np.concatenate(per_candidate)
     directions, columns = np.unique(pair_dirs, return_inverse=True)
     pair_candidates = np.repeat(candidates, [len(m) for m in per_candidate])
-    scores = eig.scores[:, : dirs.truncation]
-    # One matvec per direction: a single matmul rounds some projections
-    # differently, which moves the fences by an ulp.
-    projections = np.column_stack([scores @ dirs.coefficients[m] for m in directions])
-    q1, q3 = np.percentile(projections, [25.0, 75.0], axis=0)
+    kernel_columns = np.searchsorted(result.accepted, directions)
     return _CandidateQuartiles(
         depths=result.depths,
         candidates=candidates,
         pairs=tuple(zip(pair_candidates.tolist(), pair_dirs.tolist(), columns.tolist())),
-        projections=projections,
-        q1=q1,
-        q3=q3,
+        projections=result.projections[:, kernel_columns],
+        q1=result.q1[kernel_columns],
+        q3=result.q3[kernel_columns],
     )
 
 

@@ -86,6 +86,18 @@ class DepthResult:
         object.__setattr__(self, "depths", _frozen_array(self.depths))
 
 
+@dataclass(frozen=True)
+class _SelfDepthResult(DepthResult):
+    """Depth of the sample against itself, with what the count kernel's
+    pass gives besides: per accepted pool index (`accepted`, ascending),
+    a column of the sample projections and its Q1 and Q3."""
+
+    accepted: np.ndarray
+    projections: np.ndarray
+    q1: np.ndarray
+    q3: np.ndarray
+
+
 def _unit_rows(v: np.ndarray, gamma: np.ndarray):
     """Rows of v scaled to unit length, and their RKHS norms."""
     coeff = v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -173,6 +185,22 @@ def _merged_ranks(eval_rows: np.ndarray, sample_rows: np.ndarray) -> np.ndarray:
     return at - np.arange(q)
 
 
+def _sorted_quartiles(rows: np.ndarray):
+    """Q1 and Q3 of each sorted row, equal bit for bit to NumPy's linear
+    percentile: at virtual index (n-1)q it lerps a + (b-a)t between the
+    order statistics around it, or b - (b-a)(1-t) when t >= 0.5."""
+    n = rows.shape[1]
+    quartiles = []
+    for q in (0.25, 0.75):
+        g = (n - 1) * q
+        lo = int(g)
+        t = g - lo
+        a, b = rows[:, lo], rows[:, min(lo + 1, n - 1)]
+        diff = b - a
+        quartiles.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return quartiles
+
+
 def _min_counts(sample_scores: np.ndarray, eval_scores: np.ndarray, coeff: np.ndarray):
     """Halfspace counts minimized over directions.
 
@@ -182,30 +210,38 @@ def _min_counts(sample_scores: np.ndarray, eval_scores: np.ndarray, coeff: np.nd
     of _COUNT_BLOCK. Per direction the evaluation projections are sorted
     once and ranked against the sorted sample projections by a stable
     merge; when the evaluation scores are the sample scores, a rank is the
-    start of the value's tie run in that one sorted row, and no merge runs.
+    start of the value's tie run in that one sorted row, no merge runs,
+    and the sorted row also gives the direction's Q1 and Q3.
 
-    Returns (min_counts, (points, columns)): the minimum count per
-    evaluation point, and the (point, coeff row) pairs that attain it,
-    point-major with columns ascending.
+    Returns (min_counts, (points, columns), quartiles): the minimum count
+    per evaluation point; the (point, coeff row) pairs that attain it,
+    point-major with columns ascending; and, for a self-depth call, the
+    sample projections (n, k) with Q1 and Q3 per coeff row, else None.
     """
     n = sample_scores.shape[0]
     proj_sample = sample_scores @ coeff.T
-    itself = np.array_equal(sample_scores, eval_scores)
+    # An empty sample has no order statistics to read quartiles from.
+    itself = n > 0 and np.array_equal(sample_scores, eval_scores)
     proj_eval = proj_sample if itself else eval_scores @ coeff.T
     q, k = proj_eval.shape
     counts = np.empty((k, q), dtype=np.int32)
+    q1, q3 = np.empty(k), np.empty(k)
     for lo in range(0, k, _COUNT_BLOCK):
         block = slice(lo, lo + _COUNT_BLOCK)
-        rows = np.ascontiguousarray(proj_eval[:, block].T)
+        # Always a copy: at k == 1 the transpose is already contiguous, and
+        # sorting a view in place would reorder the returned projections.
+        rows = proj_eval[:, block].T.copy()
         order = np.argsort(rows, axis=1)
         rows.sort(axis=1)
         if itself:
             ranks = _tie_run_starts(rows)
+            q1[block], q3[block] = _sorted_quartiles(rows)
         else:
             ranks = _merged_ranks(rows, np.sort(proj_sample[:, block].T, axis=1))
         np.put_along_axis(counts[block], order, n - ranks, axis=1)
     min_counts = counts.min(axis=0)
-    return min_counts, np.nonzero((counts == min_counts).T)
+    quartiles = (proj_sample, q1, q3) if itself else None
+    return min_counts, np.nonzero((counts == min_counts).T), quartiles
 
 
 def depth_from_scores(
@@ -217,25 +253,30 @@ def depth_from_scores(
     """Approximate depth evaluated directly on score matrices.
 
     The depth at x is the minimum over accepted directions a of the
-    fraction of sample rows S_i with S_i·a >= x·a.
+    fraction of sample rows S_i with S_i·a >= x·a. When the evaluation
+    scores are the sample scores, the result is a _SelfDepthResult.
     """
     accepted = dirs.accepted(lam)
     if accepted.size == 0:
         raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
     J = dirs.truncation
-    min_counts, (points, columns) = _min_counts(
+    min_counts, (points, columns), quartiles = _min_counts(
         sample_scores[:, :J], eval_scores[:, :J], dirs.coefficients[accepted]
     )
     n = sample_scores.shape[0]
     # Every point has at least one minimizing direction; the last piece is empty.
     ends = np.cumsum(np.bincount(points, minlength=min_counts.size))
-    return DepthResult(
+    result = dict(
         depths=min_counts / n,
         minimizing_directions=tuple(np.split(accepted[columns], ends)[:-1]),
         lambda_used=float(lam),
         accepted_count=int(accepted.size),
         n=n,
     )
+    if quartiles is None:
+        return DepthResult(**result)
+    projections, q1, q3 = quartiles
+    return _SelfDepthResult(**result, accepted=accepted, projections=projections, q1=q1, q3=q3)
 
 
 def approximate_rhd(

@@ -6,12 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhdepth import (
+    RegularizationSpec,
     ScenarioSpec,
     detection_metrics,
+    draw_directions,
+    fit_fpca,
+    generate_inliers,
     normalized_ranks,
+    resolve_lambda,
     roc_table,
     tukey_depth_2d_exact,
 )
+from rhdepth.rhd import depth_from_scores
 
 
 class TestNormalizedRanks:
@@ -102,6 +108,74 @@ class TestExact2dOracle:
                 exact = tukey_depth_2d_exact(pts, x)
                 brute = self._brute_force(pts, x)
                 assert exact == pytest.approx(brute, abs=1e-12)
+
+
+def _regularized_depth_2d_exact(points, x, gamma, lam):
+    """Exact depth of x over the unit directions (cos t, sin t) whose RKHS
+    norm sqrt(cos^2 t/gamma_1 + sin^2 t/gamma_2) is at most lam.
+
+    The angle sweep of tukey_depth_2d_exact, restricted to the arcs where
+    sin^2 t <= s, s = (lam^2 - 1/gamma_1) / (1/gamma_2 - 1/gamma_1): the
+    count is constant between critical angles and arc endpoints, so it is
+    evaluated at the midpoints between them and at the endpoints, keeping
+    only angles inside the arcs.
+    """
+    g1, g2 = gamma
+    assert g1 > g2
+    d = points - x
+    d_nz = d[np.any(d != 0.0, axis=1)]
+    alpha = np.arctan2(d_nz[:, 1], d_nz[:, 0])
+    s = (lam**2 - 1 / g1) / (1 / g2 - 1 / g1)
+    ends = np.empty(0)
+    if 0 <= s < 1:
+        a = np.arcsin(np.sqrt(s))
+        ends = np.array([-a, a, np.pi - a, np.pi + a])
+    two_pi = 2.0 * np.pi
+    breaks = np.unique(np.mod(np.concatenate([alpha + np.pi / 2, alpha - np.pi / 2, ends]), two_pi))
+    mids = (breaks + np.roll(breaks, -1)) / 2.0
+    mids[-1] = breaks[-1] + (breaks[0] + two_pi - breaks[-1]) / 2.0
+    angles = np.concatenate([mids, ends])
+    units = np.vstack([np.cos(angles), np.sin(angles)])
+    inside = np.sqrt(units[0] ** 2 / g1 + units[1] ** 2 / g2) <= lam
+    return (d @ units[:, inside] >= 0.0).sum(axis=0).min() / len(points)
+
+
+class TestRegularizedExact2dOracle:
+    """The random pool bounds the regularized depth from above: at a finite
+    lambda, every accepted pool direction lies on the allowed arcs, so the
+    pool depth is at least the exact minimum over those arcs."""
+
+    def test_pool_depth_bounds_exact_regularized_depth(self):
+        restriction_bites = False
+        for r in range(5):
+            sample = generate_inliers(100, seed=700 + r)
+            eig = fit_fpca(sample, 2)
+            dirs = draw_directions(eig, 2, 1000, seed=800 + r)
+            scores = eig.scores[:, :2]
+            for u in (0.5, 0.95):
+                lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
+                pool = depth_from_scores(dirs, lam, scores, scores).depths
+                for i, x in enumerate(scores):
+                    exact = _regularized_depth_2d_exact(scores, x, eig.eigenvalues, lam)
+                    assert pool[i] >= exact
+                    unrestricted = _regularized_depth_2d_exact(scores, x, eig.eigenvalues, np.inf)
+                    restriction_bites |= exact > unrestricted
+        assert restriction_bites
+
+    def test_matches_exact_oracle_and_dense_sweep(self):
+        rng = np.random.default_rng(43)
+        gamma = (1.0, 0.25)
+        angles = np.linspace(0.0, 2 * np.pi, 20_000, endpoint=False)
+        units = np.vstack([np.cos(angles), np.sin(angles)])
+        norms = np.sqrt(units[0] ** 2 / gamma[0] + units[1] ** 2 / gamma[1])
+        for trial in range(5):
+            pts = rng.standard_normal((30, 2)) * np.sqrt(gamma)
+            for x in (pts[0], pts.mean(axis=0), rng.standard_normal(2)):
+                unrestricted = _regularized_depth_2d_exact(pts, x, gamma, np.inf)
+                assert unrestricted == tukey_depth_2d_exact(pts, x)
+                for lam in (1.1, 1.5, 1.9):
+                    dense = ((pts - x) @ units[:, norms <= lam] >= 0.0).sum(axis=0).min()
+                    assert _regularized_depth_2d_exact(pts, x, gamma, lam) == dense / 30
 
 
 class TestRocTable:

@@ -517,6 +517,18 @@ def test_overflowing_sample_refused(text, message, tmp_path, capsys):
     assert err.count("\n") == 1 and "huge.csv" in err
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_subnormal_eigenvalue_is_no_rank(tmp_path, capsys):
+    # The one nonzero eigenvalue is about 1e-321: below the eigenvalue floor,
+    # where the direction pool's divisions by it would overflow.
+    path = tmp_path / "tiny.csv"
+    path.write_text("0.0,0.5,1.0\n1e-160,0,0\n0,0,0\n")
+    argv = ["depth", "--input", str(path), "--J", "1", "--M", "50", "--u", "0.5", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "usable rank 0" in err
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -29,14 +29,17 @@ def _fitted(sample, J=6, M=1000, u=0.5, seed=0):
 
 def _reference_fences(eig, dirs, lam, factor):
     """Fence records and final flags, one percentile call per
-    (candidate, minimizing direction) pair."""
+    (candidate, minimizing direction) pair. The projections are columns of
+    one matmul over the accepted directions, the product the count kernel
+    takes; a per-direction matvec can round differently by an ulp."""
     result = depth_from_scores(dirs, lam, eig.scores, eig.scores)
     candidates = np.flatnonzero(result.depths == result.depths.min())
-    scores = eig.scores[:, : dirs.truncation]
+    accepted = dirs.accepted(lam)
+    projections = eig.scores[:, : dirs.truncation] @ dirs.coefficients[accepted].T
     records, flagged = [], set()
     for i0 in candidates:
         for m in result.minimizing_directions[i0]:
-            proj = scores @ dirs.coefficients[m]
+            proj = projections[:, np.searchsorted(accepted, m)]
             q1, q3 = np.percentile(proj, [25.0, 75.0])
             iqr = q3 - q1
             lower, upper = q1 - factor * iqr, q3 + factor * iqr

@@ -326,7 +326,7 @@ class TestCountKernel:
     def test_matches_per_direction_search(self, name, k):
         sample, eval_scores, coeff = _kernel_case(name, k)
         ref_min, ref_points, ref_columns = _reference_min_counts(sample, eval_scores, coeff)
-        min_counts, (points, columns) = _min_counts(sample, eval_scores, coeff)
+        min_counts, (points, columns), _ = _min_counts(sample, eval_scores, coeff)
         assert np.array_equal(min_counts, ref_min)
         assert np.array_equal(points, ref_points)
         assert np.array_equal(columns, ref_columns)
@@ -352,3 +352,36 @@ class TestCountKernel:
         res = depth_from_scores(dirs, 10.0, np.zeros((3, 1)), np.zeros((0, 1)))
         assert res.depths.shape == (0,)
         assert res.minimizing_directions == ()
+
+
+class TestKernelQuartiles:
+    """The self-depth pass's Q1 and Q3 are NumPy's linear percentiles of its
+    own projection product, bit for bit. At n = 4, 5, 6, 7 the Q1 lerp
+    weight t is 0.75, 0, 0.25 and 0.5, so both lerp forms are reached."""
+
+    @pytest.mark.parametrize("k", [1, _COUNT_BLOCK, _COUNT_BLOCK + 1])
+    @pytest.mark.parametrize(
+        "name", ["n=4", "n=5", "n=6", "n=7", "ties_self", "integer_plane", "duplicated"]
+    )
+    def test_match_linear_percentile(self, name, k):
+        if name.startswith("n="):
+            rng = np.random.default_rng(k)
+            sample = rng.standard_normal((int(name[2:]), 3))
+            coeff = rng.standard_normal((k, 3))
+        else:
+            sample, _, coeff = _kernel_case(name, k)
+        _, _, (proj, q1, q3) = _min_counts(sample, sample, coeff)
+        assert np.array_equal(proj, sample @ coeff.T)
+        ref_q1, ref_q3 = np.percentile(proj, [25.0, 75.0], axis=0)
+        assert np.array_equal(q1, ref_q1)
+        assert np.array_equal(q3, ref_q3)
+
+    def test_only_a_self_depth_pass_gives_quartiles(self):
+        sample, eval_scores, coeff = _kernel_case("eval", 3)
+        assert _min_counts(sample, eval_scores, coeff)[2] is None
+        empty = np.zeros((0, 3))
+        assert _min_counts(empty, empty, coeff)[2] is None
+        dirs = _pool(coeff, [1.0, 1.0, 1.0])
+        res = depth_from_scores(dirs, np.inf, sample, sample)
+        assert np.array_equal(res.accepted, np.arange(3))
+        assert np.array_equal(res.projections, sample @ coeff.T)
