@@ -9,11 +9,12 @@ version, and wall time; replaying a manifest's argv reproduces the outputs
 byte for byte (the wall-time field aside).
 
 Exit codes: 1 for argument/validation errors (the message names the flag),
-2 for rank or empty-pool errors, 0 otherwise. Refused values: --u outside
-(0, 1); --lambda not positive, NaN included (inf means no regularization);
---factor or a --factor-grid entry that is not positive and finite, or that
-overflows a fence; a negative seed; a thread count below 1. JSON outputs
-and manifests are strict JSON: an infinite lambda is the string "inf".
+2 for rank or empty-pool errors, 0 otherwise. Refused values: --u or a
+--u-grid entry outside (0, 1); --lambda not positive, NaN included (inf
+means no regularization); --factor or a --factor-grid entry that is not
+positive and finite, or that overflows a fence; a negative seed; a thread
+count below 1. JSON outputs and manifests are strict JSON: an infinite
+lambda is the string "inf".
 
 Scenario config files are plain key=value lines; the seed comes from
 --seed, not from the file. For example:
@@ -77,15 +78,23 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _factor(text: str) -> float:
-    """A fence factor: positive and finite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _float_in(low: float, high: float, expect: str):
+    """A flag value strictly between low and high; expect says so in the error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must {expect}, got {text!r}")
+        return value
+
+    return parse
+
+
+_factor = _float_in(0, math.inf, "be positive and finite")  # a fence factor
+_quantile = _float_in(0, 1, "lie in (0, 1)")  # a quantile level
 
 
 def _grid(parse):
@@ -115,7 +124,7 @@ _FLAGS = {
     "factor": dict(type=_factor, help="fence factor f"),
     "calibrate": dict(action="store_true", help="calibrate f on null data"),
     "B": dict(type=int, default=100, help="null datasets for calibration"),
-    "u-grid": dict(type=_grid(float), default=DEFAULT_QUANTILE_GRID, help="quantile levels"),
+    "u-grid": dict(type=_grid(_quantile), default=DEFAULT_QUANTILE_GRID, help="quantile levels"),
     "factor-grid": dict(type=_grid(_factor), default=FACTOR_GRID, help="fence factors"),
     "replicates": dict(type=int, default=100, help="scenario replicates"),
     "seed": dict(type=int, help="RNG seed"),

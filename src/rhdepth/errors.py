@@ -7,9 +7,11 @@ class RankError(RuntimeError):
     def __init__(self, requested: int, usable_rank: int):
         self.requested = requested
         self.usable_rank = usable_rank
+        advice = f"lower J to at most {usable_rank}"
+        if usable_rank == 0:  # J is at least 1
+            advice = "the sample has no usable variation"
         super().__init__(
-            f"truncation level {requested} exceeds usable rank {usable_rank}; "
-            f"lower J to at most {usable_rank}"
+            f"truncation level {requested} exceeds usable rank {usable_rank}; {advice}"
         )
 
 

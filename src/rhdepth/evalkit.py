@@ -1,15 +1,19 @@
-"""Ranking, detection metrics, ROC tables, and the exact 2-D depth oracle."""
+"""Ranking, detection metrics, ROC tables, and the exact 2-D depth oracle.
+
+A ROC replicate is one scenario run through `outlier.flag_sweep`, the
+replicate step of calibration too, and scored at each (u, f).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._parallel import parallel_map
-from .funspace import _frozen_array, fit_fpca
-from .outlier import FACTOR_GRID, flag_candidates
-from .rhd import RegularizationSpec, draw_directions, resolve_lambda
+from .funspace import _frozen_array
+from .outlier import FACTOR_GRID, flag_sweep
+from .rhd import RegularizationSpec
 from .simlab import ScenarioSpec, generate_scenario
 
 DEFAULT_QUANTILE_GRID = (0.5, 0.7, 0.9, 0.95)
@@ -109,30 +113,6 @@ def tukey_depth_2d_exact(points, x) -> float:
     return (base + best) / n
 
 
-def _roc_replicate(args):
-    """(u -> factor -> (p_c, p_f)) table for one scenario replicate."""
-    spec, J, M, u_grid, factor_grid, child_seed = args
-    rng = np.random.default_rng(child_seed)
-    scen_seed = int(rng.integers(2**63))
-    scenario = ScenarioSpec(
-        n_inliers=spec.n_inliers,
-        outlier_counts=spec.outlier_counts,
-        seed=scen_seed,
-        p=spec.p,
-        J0=spec.J0,
-    )
-    sample, labels = generate_scenario(scenario)
-    eig = fit_fpca(sample, J)
-    dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
-    out = {}
-    for u in u_grid:
-        lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
-        for f, flagged in zip(factor_grid, flag_candidates(eig, dirs, lam, factor_grid)):
-            metrics = detection_metrics(flagged, labels)
-            out[(u, f)] = (metrics.p_c, metrics.p_f)
-    return out
-
-
 def roc_table(
     spec: ScenarioSpec,
     J: int,
@@ -150,13 +130,21 @@ def roc_table(
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    specs = [RegularizationSpec.from_quantile(u) for u in u_grid]
+
+    def roc_replicate(child):
+        """(p_c, p_f) per (u, f), u-major, on one scenario: its seed, then the pool."""
+        rng = np.random.default_rng(child)
+        sample, labels = generate_scenario(replace(spec, seed=int(rng.integers(2**63))))
+        sweep = flag_sweep(sample, J, M, rng, specs, factor_grid)
+        metrics = [detection_metrics(flagged, labels) for row in sweep for flagged in row]
+        return [(m.p_c, m.p_f) for m in metrics]
+
     children = np.random.SeedSequence(seed).spawn(replicates)
-    jobs = [(spec, J, M, tuple(u_grid), tuple(factor_grid), c) for c in children]
-    tables = parallel_map(_roc_replicate, jobs, threads)
-    rows = []
-    for u in u_grid:
-        for f in factor_grid:
-            pc = float(np.mean([t[(u, f)][0] for t in tables]))
-            pf = float(np.mean([t[(u, f)][1] for t in tables]))
-            rows.append({"u": u, "f": f, "p_c": pc, "p_f": pf, "replicates": replicates})
-    return rows
+    table = np.array(parallel_map(roc_replicate, children, threads)).reshape(replicates, -1, 2)
+    # one row per (u, f) cell, each rate a 1-D mean of its column over replicates
+    cells = [(u, f) for u in u_grid for f in factor_grid]
+    return [
+        dict(u=u, f=f, p_c=float(np.mean(pc)), p_f=float(np.mean(pf)), replicates=replicates)
+        for (u, f), (pc, pf) in zip(cells, table.transpose(1, 2, 0))
+    ]

@@ -9,8 +9,11 @@ Q1 and Q3 come from the count kernel's self-depth pass, which sorts the
 sample projections along every accepted direction anyway: the depths,
 the projections and the quartiles of one pass serve every factor, and to
 pick the final set only the candidates are tested. `detect_outliers` and
-`flag_candidates` (which the calibration null datasets and
-`evalkit.roc_table` call) share this one fence path.
+`flag_candidates` share this one fence path.
+
+`flag_sweep` is the replicate step of both simulation studies (a
+calibration null dataset, a ROC replicate in `evalkit.roc_table`): fit,
+one direction pool seeded from the caller's RNG, flags per lambda and factor.
 
 The factor f is calibrated on Gaussian null data matching the input's
 empirical mean and covariance, targeting a 0.7% flagged proportion.
@@ -90,15 +93,11 @@ class _CandidateQuartiles:
             raise ValueError(f"factor {factor!r} is too large: a fence overflows")
         return iqr, lower, upper
 
-    def outside(self, rows: np.ndarray, factor: float) -> np.ndarray:
-        """Mask of the entries of `rows` of the projections strictly outside
-        their column's fence."""
-        _, lower, upper = self.fences(factor)
-        return (rows < lower) | (rows > upper)
-
     def flagged(self, factor: float) -> tuple:
         """Candidates outside some fence: the union of flags ∩ candidates."""
-        hit = self.outside(self.projections[self.candidates], factor).any(axis=1)
+        _, lower, upper = self.fences(factor)
+        rows = self.projections[self.candidates]
+        hit = ((rows < lower) | (rows > upper)).any(axis=1)
         return tuple(int(i) for i in self.candidates[hit])
 
 
@@ -133,6 +132,17 @@ def flag_candidates(eig: EigenSystem, dirs: DirectionSet, lam: float, factors) -
     return tuple(quartiles.flagged(f) for f in factors)
 
 
+def flag_sweep(sample: FunctionalSample, J: int, M: int, rng, specs, factors) -> list:
+    """One simulation replicate: flag_candidates for each spec, per factor.
+
+    Fits FPCA to the sample and draws one direction pool, seeded from the
+    next draw of the numpy Generator rng, which every spec's lambda shares.
+    """
+    eig = fit_fpca(sample, J)
+    dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
+    return [flag_candidates(eig, dirs, resolve_lambda(spec, dirs), factors) for spec in specs]
+
+
 def detect_outliers(
     eig: EigenSystem, dirs: DirectionSet, lam: float, factor: float
 ) -> OutlierReport:
@@ -143,8 +153,10 @@ def detect_outliers(
         raise ValueError("need at least 4 curves for quartile fences")
     quartiles = _candidate_quartiles(eig, dirs, lam)
     iqr, lower, upper = quartiles.fences(factor)
-    outside = quartiles.outside(quartiles.projections, factor)
+    outside = (quartiles.projections < lower) | (quartiles.projections > upper)
     flagged_by = [tuple(np.flatnonzero(col).tolist()) for col in outside.T]
+    candidates = quartiles.candidates
+    hit = outside[candidates].any(axis=1)
     fences = tuple(
         FenceRecord(
             candidate=i0,
@@ -159,26 +171,13 @@ def detect_outliers(
         for i0, m, c in quartiles.pairs
     )
     return OutlierReport(
-        candidate_set=tuple(int(i) for i in quartiles.candidates),
-        flagged=quartiles.flagged(factor),
+        candidate_set=tuple(int(i) for i in candidates),
+        flagged=tuple(int(i) for i in candidates[hit]),
         fences=fences,
         factor=float(factor),
         lambda_used=float(lam),
         depths=quartiles.depths,
     )
-
-
-def _null_flag_rates(args):
-    """Flagged proportion per factor on one simulated null dataset."""
-    mean, gamma, phi, grid, n, J, M, spec, child_seed, grid_factors = args
-    rng = np.random.default_rng(child_seed)
-    z = rng.standard_normal((n, len(gamma)))
-    values = mean + (z * np.sqrt(gamma)) @ phi
-    null_sample = FunctionalSample(grid, values)
-    eig = fit_fpca(null_sample, J)
-    dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
-    lam = resolve_lambda(spec, dirs)
-    return [len(flagged) / n for flagged in flag_candidates(eig, dirs, lam, grid_factors)]
 
 
 def calibrate_factor(
@@ -202,23 +201,17 @@ def calibrate_factor(
     if B < 1:
         raise ValueError("B must be at least 1")
     eig = fit_fpca(sample, J)
-    children = np.random.SeedSequence(seed).spawn(B)
-    jobs = [
-        (
-            eig.mean,
-            eig.eigenvalues,
-            eig.eigenfunctions,
-            sample.grid,
-            sample.n,
-            J,
-            M,
-            spec,
-            children[b],
-            tuple(grid_factors),
-        )
-        for b in range(B)
-    ]
-    per_dataset = parallel_map(_null_flag_rates, jobs, threads)
+    scale = np.sqrt(eig.eigenvalues)
+
+    def null_flag_rates(child):
+        """Flagged proportion per factor on one null dataset: z, then the pool."""
+        rng = np.random.default_rng(child)
+        z = rng.standard_normal((sample.n, len(scale)))
+        null = FunctionalSample(sample.grid, eig.mean + (z * scale) @ eig.eigenfunctions)
+        (flagged,) = flag_sweep(null, J, M, rng, (spec,), grid_factors)
+        return [len(f) / sample.n for f in flagged]
+
+    per_dataset = parallel_map(null_flag_rates, np.random.SeedSequence(seed).spawn(B), threads)
     mean_rates = np.mean(per_dataset, axis=0)
     deviations = np.abs(mean_rates - target)
     # argmin with ties toward the larger factor

@@ -12,11 +12,13 @@ from rhdepth import (
     draw_directions,
     fit_fpca,
     generate_inliers,
+    generate_scenario,
     normalized_ranks,
     resolve_lambda,
     roc_table,
     tukey_depth_2d_exact,
 )
+from rhdepth.outlier import flag_candidates
 from rhdepth.rhd import depth_from_scores
 
 
@@ -222,3 +224,39 @@ class TestRocTable:
             threads=4,
         )
         assert a == c
+
+    def test_values_match_per_replicate_reference(self):
+        # Each replicate's RNG draws the scenario seed, then the pool seed; a
+        # cell is the 1-D mean of its per-replicate rates. Nine or more
+        # replicates pin NumPy's pairwise summation order as well.
+        J, M, replicates, seed = 4, 200, 9, 7
+        u_grid, factor_grid = (0.5, 0.95), (1.5, 2.0, 2.5, 3.0, 3.5)
+        per_cell = {(u, f): [] for u in u_grid for f in factor_grid}
+        for child in np.random.SeedSequence(seed).spawn(replicates):
+            rng = np.random.default_rng(child)
+            spec = ScenarioSpec(
+                n_inliers=60,
+                outlier_counts={"magnitude": 1, "jump": 1},
+                seed=int(rng.integers(2**63)),
+            )
+            sample, labels = generate_scenario(spec)
+            eig = fit_fpca(sample, J)
+            dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
+            for u in u_grid:
+                lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
+                for f, flagged in zip(factor_grid, flag_candidates(eig, dirs, lam, factor_grid)):
+                    per_cell[(u, f)].append(detection_metrics(flagged, labels))
+        expected = [
+            {
+                "u": u,
+                "f": f,
+                "p_c": float(np.mean([m.p_c for m in metrics])),
+                "p_f": float(np.mean([m.p_f for m in metrics])),
+                "replicates": replicates,
+            }
+            for (u, f), metrics in per_cell.items()
+        ]
+        rows = roc_table(
+            self.SPEC, J, M, replicates, seed, u_grid=u_grid, factor_grid=factor_grid
+        )
+        assert rows == expected

@@ -445,6 +445,16 @@ def test_non_finite_flag_exits_1(argv, flag, cli_files, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("entry", ["1.5", "0", "-0.5", "nan", "0.5,1"])
+def test_bad_u_grid_entry_refused_at_parse_time(entry, cli_files, capsys):
+    out = cli_files["o"]
+    argv = ["bench", "--scenario", cli_files["c"], "--u-grid", entry, "--seed", "1", "--out", out]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "argument --u-grid: must lie in (0, 1)" in err
+    assert not os.path.exists(out)
+
+
 def test_oversized_csv_field_exits_1(tmp_path, capsys):
     # one field past the csv module's 131072-character limit
     path = tmp_path / "wide.csv"
@@ -527,6 +537,16 @@ def test_subnormal_eigenvalue_is_no_rank(tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "usable rank 0" in err
+
+
+def test_constant_sample_has_no_usable_variation(tmp_path, capsys):
+    # J must be at least 1, so at rank 0 there is no J to advise
+    path = tmp_path / "constant.csv"
+    path.write_text("0.0,0.5,1.0\n1,2,3\n1,2,3\n1,2,3\n")
+    argv = ["depth", "--input", str(path), "--J", "1", "--u", "0.5", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no usable variation" in err and "at most 0" not in err
 
 
 @pytest.mark.parametrize(
