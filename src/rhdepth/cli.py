@@ -289,7 +289,8 @@ def _outliers(args):
         "factor": report.factor,
         "lambda_used": _json_float(report.lambda_used),
         "depths": [float(d) for d in report.depths],
-        "fences": [dataclasses.asdict(f) for f in report.fences],
+        # vars keeps field order; asdict would deep-copy every record.
+        "fences": [dict(vars(f)) for f in report.fences],
     }
     if calib:
         del calib["rates"]  # only the calibrate command writes them

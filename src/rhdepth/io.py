@@ -1,7 +1,12 @@
 """CSV/JSON interchange and atomic file writes.
 
 Curve CSV format: first row holds the grid points, each subsequent row one
-curve; UTF-8 with '.' decimals. Labels CSV: index,label rows with a header.
+curve; UTF-8 with '.' decimals, any line ending (LF, CRLF or CR). NumPy's C
+parser reads it: fields may be double-quoted and padded with spaces, and a
+number is a Python float literal without underscores and in ASCII digits
+(so `+1.5`, `1.`, `.5`, `1E5`, `nan` and `inf` are accepted). Empty lines
+are skipped; there are no comment lines. Labels CSV: index,label rows with
+a header, read by the csv module.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ import csv
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -62,21 +68,37 @@ def _read_csv(path: str) -> list:
         raise ValueError(f"{path}: {exc}") from None
 
 
+# Longest reader message kept whole. loadtxt quotes the field it could not
+# convert, which may be a whole file long.
+_MESSAGE_CHARS = 200
+
+
+def _shortened(message: str) -> str:
+    """The message, or its head and tail (where the field's row and column
+    are) when it is longer than _MESSAGE_CHARS."""
+    if len(message) <= _MESSAGE_CHARS:
+        return message
+    half = _MESSAGE_CHARS // 2
+    return f"{message[:half]} ... {message[-half:]}"
+
+
 def read_sample(path: str) -> FunctionalSample:
     """Load a curve CSV; the grid gets trapezoidal weights. A file that holds
     no usable sample raises ValueError naming it."""
-    rows = [row for row in _read_csv(path) if row]
     try:
-        return _sample_from_rows(rows)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+            # loadtxt warns on a file without data; the row count refuses it.
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        return _sample_from_table(table)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {_shortened(str(exc))}") from None
 
 
-def _sample_from_rows(rows) -> FunctionalSample:
-    if len(rows) < 2:
+def _sample_from_table(table: np.ndarray) -> FunctionalSample:
+    if len(table) < 2:
         raise ValueError("need a grid row and at least one curve row")
-    points = np.array([float(v) for v in rows[0]])
-    values = np.array([[float(v) for v in row] for row in rows[1:]])
+    points, values = table[0], table[1:]
     p = points.size
     if p < 2:
         raise ValueError(f"the grid needs at least 2 points, got {p}")

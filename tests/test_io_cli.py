@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from rhdepth import generate_inliers, generate_scenario, ScenarioSpec
 from rhdepth.cli import _build_parser, _resolve_threads, parse_scenario_config, run
 from rhdepth.io import (
+    _sample_from_table,
     atomic_write_text,
     read_labels,
     read_sample,
@@ -427,6 +429,19 @@ def test_manifest_argv_replays_byte_identical(case, cli_files):
     assert [open(path, "rb").read() for path in outputs] == first
 
 
+@pytest.mark.parametrize("reg", [["--u", "0.5"], ["--lambda", "inf"], ["--lambda", "2.5"]])
+def test_depth_eval_of_the_input_is_the_self_depth(reg, cli_files):
+    # The sample read again projects to the fitted scores bit for bit, so
+    # the count kernel takes its self-depth pass and every sample curve
+    # keeps depth at least 1/n.
+    s, out = cli_files["s"], cli_files["o"]
+    argv = ["depth", "--input", s, "--J", "3", "--M", "200", *reg, "--seed", "3", "--out", out]
+    assert run(argv) == 0
+    self_depth = open(out, "rb").read()
+    assert run(argv[:3] + ["--eval", s] + argv[3:]) == 0
+    assert open(out, "rb").read() == self_depth
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -456,7 +471,8 @@ def test_bad_u_grid_entry_refused_at_parse_time(entry, cli_files, capsys):
 
 
 def test_oversized_csv_field_exits_1(tmp_path, capsys):
-    # one field past the csv module's 131072-character limit
+    # One field past the csv module's 131072-character limit: the label
+    # reader refuses it, the sample reader reads a number that overflows.
     path = tmp_path / "wide.csv"
     path.write_text("0.0,1.0\n" + "1" * 200_000 + ",2.0\n")
     argv = ["depth", "--input", str(path), "--u", "0.5", "--seed", "7"]
@@ -503,6 +519,80 @@ def test_reader_error_names_the_file(case, tmp_path, capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(path) in err
+
+
+def _reference_read(path):
+    """The sample the csv module and float() made of a file: how read_sample
+    parsed before NumPy's C parser took over."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    return _sample_from_table(np.array([[float(v) for v in row] for row in rows]))
+
+
+def _same_sample(a, b) -> bool:
+    pairs = [(a.grid.points, b.grid.points), (a.grid.weights, b.grid.weights), (a.values, b.values)]
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in pairs)
+
+
+# Spellings both parsers read; each file's sample must come out bit for bit the same.
+_READABLE_FILES = {
+    "crlf": "0,0.5,1\r\n1.25,-2,3e-3\r\n4,5,6\r\n",
+    "cr-only": "0,0.5,1\r1.25,-2,3e-3\r4,5,6\r",
+    "blank-lines": "\n0,0.5,1\n\n1.25,-2,3e-3\n\n\n4,5,6\n\n",
+    "quoted-fields": '"0","0.5",1\n"1.25",-2,"3e-3"\n4,5,6\n',
+    "spaces": " 0 ,0.5 , 1\n1.25,  -2,3e-3 \n\t4,5,6\n",
+    "number-forms": "0,0.5,1\n+1.5,1.,.5\n1E5,-.25,0.1e+2\n",
+    "non-uniform-grid": "0.1,0.3,0.35,2\n1,2,3,4\n5,6,7,8\n",
+}
+
+
+@pytest.mark.parametrize("case", _READABLE_FILES)
+def test_reader_matches_float_parse(case, tmp_path):
+    path = tmp_path / "sample.csv"
+    path.write_bytes(_READABLE_FILES[case].encode("utf-8"))
+    assert _same_sample(read_sample(str(path)), _reference_read(str(path)))
+
+
+def test_reader_matches_float_parse_on_written_curves(tmp_path):
+    path = tmp_path / "sample.csv"
+    spec = ScenarioSpec(n_inliers=30, outlier_counts={"magnitude": 2, "jump": 2}, seed=4)
+    for sample in (generate_inliers(40, p=30, seed=3), generate_scenario(spec)[0]):
+        write_sample(str(path), sample)
+        back = read_sample(str(path))
+        assert _same_sample(back, _reference_read(str(path)))
+        assert back.values.tobytes() == sample.values.tobytes()
+
+
+# Files read_sample refuses, each with a ValueError naming the file.
+_REFUSED_FILES = {
+    "underscores": "0,0.5,1\n1_0,2,3\n",
+    "arabic-indic-digit": "0,0.5,1\n١,2,3\n",
+    "comment-line": "0,0.5,1\n# a comment\n1,2,3\n",
+    "semicolons": "0;0.5;1\n1;2;3\n",
+    "ragged-rows": "0,0.5,1\n1,2,3\n4,5\n",
+    "empty": "",
+    "newlines-only": "\n\r\n\n",
+    "grid-only": "0,0.5,1\n",
+}
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("case", _REFUSED_FILES)
+def test_reader_refuses_file(case, tmp_path):
+    path = tmp_path / "refused.csv"
+    path.write_bytes(_REFUSED_FILES[case].encode("utf-8"))
+    with pytest.raises(ValueError, match="refused.csv"):
+        read_sample(str(path))
+
+
+def test_unreadable_long_field_gives_a_short_message(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("0.0,1.0\n" + "x" * 200_000 + ",2.0\n")
+    argv = ["depth", "--input", str(path), "--u", "0.5", "--seed", "7"]
+    assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "wide.csv" in err and "column 1" in err
+    assert len(err) < 300 + len(str(path))
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,5 +1,7 @@
 """Direction pools, lambda resolution, and approximate depth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,21 @@ class TestCountKernel:
         assert len(res.minimizing_directions) == eval_scores.shape[0]
         for i, found in enumerate(res.minimizing_directions):
             assert np.array_equal(found, accepted[ref_columns[ref_points == i]])
+
+    def test_eval_pass_holds_no_projection_matrix(self):
+        # the depth_mixed eval shape: 4000 curves against 500 at J=10, with
+        # the M=2000 proposals and 500 data directions all accepted
+        n, q, J, k = 500, 4000, 10, 2500
+        rng = np.random.default_rng(0)
+        sample, eval_scores = rng.standard_normal((n, J)), rng.standard_normal((q, J))
+        coeff = rng.standard_normal((k, J))
+        tracemalloc.start()
+        try:
+            _min_counts(sample, eval_scores, coeff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < q * k * np.dtype(float).itemsize
 
     def test_empty_eval_set(self):
         dirs = _pool([[1.0], [-1.0]], [1.0])
