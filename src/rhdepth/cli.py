@@ -8,13 +8,13 @@ pipeline, writes its outputs atomically, and writes a JSON manifest
 version, and wall time; replaying a manifest's argv reproduces the outputs
 byte for byte (the wall-time field aside).
 
-Exit codes: 1 for argument/validation errors (the message names the flag),
-2 for rank or empty-pool errors, 0 otherwise. Refused values: --u or a
---u-grid entry outside (0, 1); --lambda not positive, NaN included (inf
-means no regularization); --factor or a --factor-grid entry that is not
-positive and finite, or that overflows a fence; a negative seed; a thread
-count below 1. JSON outputs and manifests are strict JSON: an infinite
-lambda is the string "inf".
+Exit codes: 1 for argument/validation errors (the message names the flag)
+and for a failed allocation, 2 for rank or empty-pool errors, 0 otherwise.
+Refused values: --u or a --u-grid entry outside (0, 1); --lambda not
+positive, NaN included (inf means no regularization); --factor or a
+--factor-grid entry that is not positive and finite, or that overflows a
+fence; a negative seed; a thread count below 1. JSON outputs and
+manifests are strict JSON: an infinite lambda is the string "inf".
 
 Scenario config files are plain key=value lines; the seed comes from
 --seed, not from the file. For example:
@@ -257,7 +257,12 @@ def _fpca(args):
 def _depth(args):
     """depths and normalized ranks of evaluation curves (default: the sample)"""
     sample, _, eig, dirs, lam = _fit_pool(args)
-    result = approximate_rhd(eig, dirs, lam, read_sample(args.eval) if args.eval else sample)
+    evaluation = read_sample(args.eval) if args.eval else sample
+    try:
+        result = approximate_rhd(eig, dirs, lam, evaluation)
+    except ValueError as exc:  # the grid check; the sample shares its own grid
+        raise ValueError(f"--eval {args.eval}: {exc}") from None
+    del evaluation  # not held while the CSV text is built
     table = normalized_ranks(result.depths)
     rows = [
         (i, repr(float(d)), repr(float(r)), repr(lam), len(result.minimizing_directions[i]))
@@ -413,8 +418,8 @@ def run(argv) -> int:
         return _run_command(args, argv, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError, RankError, EmptyPoolError) as exc:
-        print(f"rhdepth: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, RankError, EmptyPoolError) as exc:
+        print(f"rhdepth: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2 if isinstance(exc, (RankError, EmptyPoolError)) else 1
 
 

@@ -129,7 +129,14 @@ class EigenSystem:
         """Scores of arbitrary curves on the fitted eigenfunctions."""
         if not np.array_equal(sample.grid.points, self.grid.points):
             raise ValueError("evaluation curves must share the sample grid")
-        return sample.values @ (self.eigenfunctions * self.grid.weights).T
+        return _scores(sample.values, self.eigenfunctions, self.grid.weights)
+
+
+def _scores(values, eigenfunctions, weights) -> np.ndarray:
+    """Weighted inner products of each curve (row of values) with each
+    eigenfunction: the one projection expression, so that the sample read
+    again projects to the fitted scores bit for bit."""
+    return values @ (eigenfunctions * weights).T
 
 
 def usable_rank(sample: FunctionalSample) -> int:
@@ -176,12 +183,11 @@ def fit_fpca(sample: FunctionalSample, J: int) -> EigenSystem:
     signs = np.sign(phi[np.arange(J), lead])
     phi = phi * signs[:, None]
 
-    scores = sample.values @ (phi * sample.grid.weights).T
     return EigenSystem(
         grid=sample.grid,
         mean=mean,
         eigenvalues=eigvals[:J],
         eigenfunctions=phi,
-        scores=scores,
+        scores=_scores(sample.values, phi, sample.grid.weights),
         usable_rank=rank,
     )

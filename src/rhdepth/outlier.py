@@ -5,7 +5,10 @@ directions define univariate projections, and a boxplot fence
 [Q1 - f*IQR, Q3 + f*IQR] flags points strictly outside. The final outlier
 set is the union of fence flags intersected with the candidate set.
 
-Q1 and Q3 come from the count kernel's self-depth pass, which sorts the
+There is one fence per (candidate, minimizing direction) pair, and no
+step merges a direction that two candidates share: at the minimal depth
+1/n a direction has one curve at its top, so no two pairs share it. Q1
+and Q3 come from the count kernel's self-depth pass, which sorts the
 sample projections along every accepted direction anyway: the depths,
 the projections and the quartiles of one pass serve every factor, and to
 pick the final set only the candidates are tested. `detect_outliers` and
@@ -66,60 +69,29 @@ class CalibrationResult:
     rates: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _CandidateQuartiles:
-    """Minimal-depth candidates and the quartiles along their directions.
-
-    `pairs` lists (candidate, direction, column) per minimizing direction of
-    each candidate, candidates ascending; `projections[:, column]` is the
-    sample projected on that direction, one column per distinct direction,
-    and `q1`, `q3` its quartiles, all taken from the count kernel's pass.
-    """
-
-    depths: np.ndarray
-    candidates: np.ndarray
-    pairs: tuple
-    projections: np.ndarray
-    q1: np.ndarray
-    q3: np.ndarray
-
-    def fences(self, factor: float):
-        """IQR, lower and upper fence per distinct direction; a factor so
-        large that a fence overflows is refused."""
-        iqr = self.q3 - self.q1
-        with np.errstate(over="ignore", invalid="ignore"):
-            lower, upper = self.q1 - factor * iqr, self.q3 + factor * iqr
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise ValueError(f"factor {factor!r} is too large: a fence overflows")
-        return iqr, lower, upper
-
-    def flagged(self, factor: float) -> tuple:
-        """Candidates outside some fence: the union of flags ∩ candidates."""
-        _, lower, upper = self.fences(factor)
-        rows = self.projections[self.candidates]
-        hit = ((rows < lower) | (rows > upper)).any(axis=1)
-        return tuple(int(i) for i in self.candidates[hit])
-
-
-def _candidate_quartiles(eig: EigenSystem, dirs: DirectionSet, lam: float):
-    """Depths of the sample, its minimal-depth candidates, and Q1 and Q3 of
-    the sample projected on each distinct minimizing direction, read off
-    the count kernel's self-depth pass."""
+def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lam: float):
+    """The count kernel's self-depth pass, its minimal-depth candidates, and
+    per (candidate, minimizing direction) pair, candidates ascending: the
+    candidate, the pool direction and the pass's column for it."""
     result = depth_from_scores(dirs, lam, eig.scores, eig.scores)
     candidates = np.flatnonzero(result.depths == result.depths.min())
     per_candidate = [result.minimizing_directions[i] for i in candidates]
-    pair_dirs = np.concatenate(per_candidate)
-    directions, columns = np.unique(pair_dirs, return_inverse=True)
-    pair_candidates = np.repeat(candidates, [len(m) for m in per_candidate])
-    kernel_columns = np.searchsorted(result.accepted, directions)
-    return _CandidateQuartiles(
-        depths=result.depths,
-        candidates=candidates,
-        pairs=tuple(zip(pair_candidates.tolist(), pair_dirs.tolist(), columns.tolist())),
-        projections=result.projections[:, kernel_columns],
-        q1=result.q1[kernel_columns],
-        q3=result.q3[kernel_columns],
-    )
+    owners = np.repeat(candidates, [len(m) for m in per_candidate])
+    directions = np.concatenate(per_candidate)
+    return result, candidates, owners, directions, np.searchsorted(result.accepted, directions)
+
+
+def _fences(result, columns, factor: float):
+    """Q1, Q3, IQR, lower and upper fence per pair, given the pairs'
+    columns of the pass; a factor so large that a fence overflows is
+    refused."""
+    q1, q3 = result.q1[columns], result.q3[columns]
+    iqr = q3 - q1
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = q1 - factor * iqr, q3 + factor * iqr
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValueError(f"factor {factor!r} is too large: a fence overflows")
+    return q1, q3, iqr, lower, upper
 
 
 def flag_candidates(eig: EigenSystem, dirs: DirectionSet, lam: float, factors) -> tuple:
@@ -128,8 +100,14 @@ def flag_candidates(eig: EigenSystem, dirs: DirectionSet, lam: float, factors) -
     Depth, candidates and quartiles are computed once and every factor is
     applied to the same quartiles; only the candidates are tested.
     """
-    quartiles = _candidate_quartiles(eig, dirs, lam)
-    return tuple(quartiles.flagged(f) for f in factors)
+    result, candidates, _, _, columns = _candidate_fences(eig, dirs, lam)
+    rows = result.projections[np.ix_(candidates, columns)]
+    flagged = []
+    for factor in factors:
+        *_, lower, upper = _fences(result, columns, factor)
+        hit = ((rows < lower) | (rows > upper)).any(axis=1)
+        flagged.append(tuple(int(i) for i in candidates[hit]))
+    return tuple(flagged)
 
 
 def flag_sweep(sample: FunctionalSample, J: int, M: int, rng, specs, factors) -> list:
@@ -151,32 +129,30 @@ def detect_outliers(
         raise ValueError("factor must be positive and finite")
     if eig.scores.shape[0] < 4:
         raise ValueError("need at least 4 curves for quartile fences")
-    quartiles = _candidate_quartiles(eig, dirs, lam)
-    iqr, lower, upper = quartiles.fences(factor)
-    outside = (quartiles.projections < lower) | (quartiles.projections > upper)
-    flagged_by = [tuple(np.flatnonzero(col).tolist()) for col in outside.T]
-    candidates = quartiles.candidates
-    hit = outside[candidates].any(axis=1)
+    result, candidates, owners, directions, columns = _candidate_fences(eig, dirs, lam)
+    q1, q3, iqr, lower, upper = _fences(result, columns, factor)
+    projections = result.projections[:, columns]
+    outside = (projections < lower) | (projections > upper)
     fences = tuple(
         FenceRecord(
-            candidate=i0,
-            direction=m,
-            q1=float(quartiles.q1[c]),
-            q3=float(quartiles.q3[c]),
+            candidate=int(owners[c]),
+            direction=int(directions[c]),
+            q1=float(q1[c]),
+            q3=float(q3[c]),
             iqr=float(iqr[c]),
             lower=float(lower[c]),
             upper=float(upper[c]),
-            flagged=flagged_by[c],
+            flagged=tuple(np.flatnonzero(outside[:, c]).tolist()),
         )
-        for i0, m, c in quartiles.pairs
+        for c in range(columns.size)
     )
     return OutlierReport(
         candidate_set=tuple(int(i) for i in candidates),
-        flagged=tuple(int(i) for i in candidates[hit]),
+        flagged=tuple(int(i) for i in candidates[outside[candidates].any(axis=1)]),
         fences=fences,
         factor=float(factor),
         lambda_used=float(lam),
-        depths=quartiles.depths,
+        depths=result.depths,
     )
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,7 +419,7 @@ def test_manifest_argv_replays_byte_identical(case, cli_files):
     assert run([token.format(**cli_files) for token in template.split()]) == 0
     out = cli_files["o"]
     outputs = [out, out + ".lab"] if command == "simulate" else [out]
-    first = [open(path, "rb").read() for path in outputs]
+    first = [Path(path).read_bytes() for path in outputs]
     with open(out + ".manifest.json", encoding="utf-8") as handle:
         manifest = json.load(handle)
     assert manifest["parameters"]["command"] == command
@@ -426,7 +427,7 @@ def test_manifest_argv_replays_byte_identical(case, cli_files):
     for path in outputs:
         os.unlink(path)
     assert run(manifest["argv"]) == 0
-    assert [open(path, "rb").read() for path in outputs] == first
+    assert [Path(path).read_bytes() for path in outputs] == first
 
 
 @pytest.mark.parametrize("reg", [["--u", "0.5"], ["--lambda", "inf"], ["--lambda", "2.5"]])
@@ -437,9 +438,28 @@ def test_depth_eval_of_the_input_is_the_self_depth(reg, cli_files):
     s, out = cli_files["s"], cli_files["o"]
     argv = ["depth", "--input", s, "--J", "3", "--M", "200", *reg, "--seed", "3", "--out", out]
     assert run(argv) == 0
-    self_depth = open(out, "rb").read()
+    self_depth = Path(out).read_bytes()
     assert run(argv[:3] + ["--eval", s] + argv[3:]) == 0
-    assert open(out, "rb").read() == self_depth
+    assert Path(out).read_bytes() == self_depth
+
+
+def test_eval_on_another_grid_names_the_file(cli_files, tmp_path, capsys):
+    other = tmp_path / "grid40.csv"
+    write_sample(str(other), generate_inliers(10, seed=2, p=40))
+    argv = ["depth", "--input", cli_files["s"], "--eval", str(other), "--J", "3", "--M", "200"]
+    assert run(argv + ["--u", "0.5", "--seed", "1", "--out", cli_files["o"]]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"--eval {other}: " in err and "grid" in err
+
+
+def test_failed_allocation_exits_1(cli_files, capsys):
+    # 10**15 proposals of J=6 doubles ask for 42.6 PiB, past the address
+    # space, so the allocation fails at once instead of filling memory.
+    argv = ["depth", "--input", cli_files["s"], "--M", "1000000000000000", "--u", "0.5"]
+    assert run(argv + ["--seed", "1", "--out", cli_files["o"]]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("rhdepth: error: Unable to allocate")
+    assert not os.path.exists(cli_files["o"])
 
 
 @pytest.mark.parametrize(
