@@ -7,12 +7,14 @@ set is the union of fence flags intersected with the candidate set.
 
 There is one fence per (candidate, minimizing direction) pair, and no
 step merges a direction that two candidates share: at the minimal depth
-1/n a direction has one curve at its top, so no two pairs share it. Q1
-and Q3 come from the count kernel's self-depth pass, which sorts the
-sample projections along every accepted direction anyway: the depths,
-the projections and the quartiles of one pass serve every factor, and to
-pick the final set only the candidates are tested. `detect_outliers` and
-`flag_candidates` share this one fence path.
+1/n a direction has one curve at its top, so no two pairs share it. The
+pairs are read off the top of each accepted direction, without the count
+kernel: along a direction the count #{i : p_i >= p_j} can only fall as p_j
+rises, so its smallest is the tie run at the top. The candidates are the
+curves on top of the directions with the shortest run, and those are
+their minimizing directions. Q1 and Q3 serve every factor, and only the
+candidates are tested. `detect_outliers` and `flag_candidates` share this
+fence path; `detect_outliers` runs the count kernel once, for the depths.
 
 `flag_sweep` is the replicate step of both simulation studies (a
 calibration null dataset, a ROC replicate in `evalkit.roc_table`): fit,
@@ -29,8 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import parallel_map
+from .errors import EmptyPoolError
 from .funspace import EigenSystem, FunctionalSample, fit_fpca
-from .rhd import DirectionSet, RegularizationSpec, depth_from_scores, draw_directions, resolve_lambda
+from .rhd import _COUNT_BLOCK, DirectionSet, RegularizationSpec, depth_from_scores
+from .rhd import draw_directions, resolve_lambda
 
 FACTOR_GRID = (1.5, 2.0, 2.5, 3.0, 3.5)
 TARGET_RATE = 0.007
@@ -69,42 +73,73 @@ class CalibrationResult:
     rates: dict = field(default_factory=dict)
 
 
+def _require_fence_sample(n: int) -> None:
+    if n < 4:
+        raise ValueError("need at least 4 curves for quartile fences")
+
+
+def _sorted_quartiles(rows: np.ndarray):
+    """Q1 and Q3 of each sorted row, equal bit for bit to NumPy's linear
+    percentile: at virtual index (n-1)q it lerps a + (b-a)t between the
+    order statistics around it, or b - (b-a)(1-t) when t >= 0.5."""
+    n = rows.shape[1]
+    quartiles = []
+    for q in (0.25, 0.75):
+        g = (n - 1) * q
+        lo = int(g)
+        t = g - lo
+        a, b = rows[:, lo], rows[:, min(lo + 1, n - 1)]
+        diff = b - a
+        quartiles.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return quartiles
+
+
 def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lam: float):
-    """The count kernel's self-depth pass, its minimal-depth candidates, and
-    per (candidate, minimizing direction) pair, candidates ascending: the
-    candidate, the pool direction and the pass's column for it."""
-    result = depth_from_scores(dirs, lam, eig.scores, eig.scores)
-    candidates = np.flatnonzero(result.depths == result.depths.min())
-    per_candidate = [result.minimizing_directions[i] for i in candidates]
-    owners = np.repeat(candidates, [len(m) for m in per_candidate])
-    directions = np.concatenate(per_candidate)
-    return result, candidates, owners, directions, np.searchsorted(result.accepted, directions)
+    """The sample projections on the accepted directions (n, k) and, per
+    (candidate, minimizing direction) pair, candidates ascending and then
+    directions ascending: the candidate, the projections' column, the pool
+    direction, and (Q1, Q3) of that column."""
+    accepted = dirs.accepted(lam)
+    if accepted.size == 0:
+        raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
+    # The count kernel's product, bit for bit, so the candidates are the
+    # curves at its minimal depth.
+    projections = eig.scores[:, : dirs.truncation] @ dirs.coefficients[accepted].T
+    at_top = projections == projections.max(axis=0)
+    runs = at_top.sum(axis=0)
+    owners, columns = np.nonzero(at_top & (runs == runs.min()))
+    # Sorted as contiguous rows, a block of directions at a time, so no
+    # (k, n) copy is held.
+    q1, q3 = np.hstack([
+        _sorted_quartiles(np.sort(projections[:, lo : lo + _COUNT_BLOCK].T.copy(), axis=1))
+        for lo in range(0, projections.shape[1], _COUNT_BLOCK)
+    ])
+    return projections, owners, columns, accepted[columns], (q1[columns], q3[columns])
 
 
-def _fences(result, columns, factor: float):
-    """Q1, Q3, IQR, lower and upper fence per pair, given the pairs'
-    columns of the pass; a factor so large that a fence overflows is
-    refused."""
-    q1, q3 = result.q1[columns], result.q3[columns]
+def _fences(q1, q3, factor: float):
+    """IQR, lower and upper fence per pair; a factor so large that a fence
+    overflows is refused."""
     iqr = q3 - q1
     with np.errstate(over="ignore", invalid="ignore"):
         lower, upper = q1 - factor * iqr, q3 + factor * iqr
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise ValueError(f"factor {factor!r} is too large: a fence overflows")
-    return q1, q3, iqr, lower, upper
+    return iqr, lower, upper
 
 
 def flag_candidates(eig: EigenSystem, dirs: DirectionSet, lam: float, factors) -> tuple:
     """Flagged curves of the fitted sample for each fence factor.
 
-    Depth, candidates and quartiles are computed once and every factor is
-    applied to the same quartiles; only the candidates are tested.
+    Candidates and quartiles are found once and every factor is applied to
+    the same quartiles; only the candidates are tested.
     """
-    result, candidates, _, _, columns = _candidate_fences(eig, dirs, lam)
-    rows = result.projections[np.ix_(candidates, columns)]
+    projections, owners, columns, _, quartiles = _candidate_fences(eig, dirs, lam)
+    candidates = np.unique(owners)
+    rows = projections[np.ix_(candidates, columns)]
     flagged = []
     for factor in factors:
-        *_, lower, upper = _fences(result, columns, factor)
+        _, lower, upper = _fences(*quartiles, factor)
         hit = ((rows < lower) | (rows > upper)).any(axis=1)
         flagged.append(tuple(int(i) for i in candidates[hit]))
     return tuple(flagged)
@@ -127,12 +162,13 @@ def detect_outliers(
     """Flag outliers in the fitted sample at regularization lambda."""
     if not 0 < factor < np.inf:
         raise ValueError("factor must be positive and finite")
-    if eig.scores.shape[0] < 4:
-        raise ValueError("need at least 4 curves for quartile fences")
-    result, candidates, owners, directions, columns = _candidate_fences(eig, dirs, lam)
-    q1, q3, iqr, lower, upper = _fences(result, columns, factor)
-    projections = result.projections[:, columns]
-    outside = (projections < lower) | (projections > upper)
+    _require_fence_sample(eig.scores.shape[0])
+    # Before the fences: the count kernel's arrays are freed when it returns.
+    depths = depth_from_scores(dirs, lam, eig.scores, eig.scores).depths
+    projections, owners, columns, directions, (q1, q3) = _candidate_fences(eig, dirs, lam)
+    iqr, lower, upper = _fences(q1, q3, factor)
+    pairs = projections[:, columns]
+    outside = (pairs < lower) | (pairs > upper)
     fences = tuple(
         FenceRecord(
             candidate=int(owners[c]),
@@ -146,13 +182,14 @@ def detect_outliers(
         )
         for c in range(columns.size)
     )
+    candidates = np.unique(owners)
     return OutlierReport(
         candidate_set=tuple(int(i) for i in candidates),
         flagged=tuple(int(i) for i in candidates[outside[candidates].any(axis=1)]),
         fences=fences,
         factor=float(factor),
         lambda_used=float(lam),
-        depths=result.depths,
+        depths=depths,
     )
 
 
@@ -176,6 +213,7 @@ def calibrate_factor(
     """
     if B < 1:
         raise ValueError("B must be at least 1")
+    _require_fence_sample(sample.n)
     eig = fit_fpca(sample, J)
     scale = np.sqrt(eig.eigenvalues)
 

@@ -462,6 +462,19 @@ def test_failed_allocation_exits_1(cli_files, capsys):
     assert not os.path.exists(cli_files["o"])
 
 
+@pytest.mark.parametrize("command", [["calibrate"], ["outliers", "--calibrate"]])
+def test_three_curves_refused_before_calibrating(command, tmp_path, capsys):
+    # Quartile fences need 4 curves: refused before any null dataset is drawn.
+    path = tmp_path / "three.csv"
+    write_sample(str(path), generate_inliers(3, seed=0))
+    out = tmp_path / "out.json"
+    argv = [*command, "--input", str(path), "--J", "2", "--M", "50", "--u", "0.5"]
+    assert run(argv + ["--B", "2000", "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "need at least 4 curves for quartile fences" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

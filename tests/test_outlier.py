@@ -16,7 +16,7 @@ from rhdepth import (
     make_uniform_grid,
     resolve_lambda,
 )
-from rhdepth.outlier import FenceRecord
+from rhdepth.outlier import FenceRecord, flag_candidates, flag_sweep
 from rhdepth.rhd import depth_from_scores
 
 
@@ -107,8 +107,8 @@ class TestDetect:
         s = generate_inliers(80, seed=70)
         eig, dirs, lam = _fitted(s, u=0.95, seed=71)
         report = detect_outliers(eig, dirs, lam, 3.0)
-        dmin = report.depths.min()
-        assert all(report.depths[i] == dmin for i in report.candidate_set)
+        minimal = np.flatnonzero(report.depths == report.depths.min())
+        assert set(report.candidate_set) == set(minimal.tolist())
 
     def test_flag_count_nonincreasing_in_factor(self):
         for r in range(5):
@@ -170,6 +170,15 @@ class TestCalibrate:
         rates = [calib.rates[f] for f in FACTOR_GRID]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
+    def test_minimum_sample_size_before_any_null_dataset(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a null dataset ran")
+
+        monkeypatch.setattr("rhdepth.outlier.flag_sweep", refuse)
+        spec = RegularizationSpec.from_quantile(0.5)
+        with pytest.raises(ValueError, match="at least 4 curves"):
+            calibrate_factor(generate_inliers(3, seed=0), 2, 50, spec, B=10, seed=1)
+
     def test_thread_count_does_not_change_result(self):
         s = generate_inliers(100, seed=124, gaussian=True)
         kwargs = dict(
@@ -191,9 +200,13 @@ class TestBatchedFencesMatchPerPairReference:
             # Every curve twice: candidates come in pairs sharing directions.
             half = _contaminated(75, seed)
             doubled = FunctionalSample(half.grid, np.vstack([half.values, half.values]))
-            for data in (sample, doubled):
-                for u in (0.5, 0.95):
-                    eig, dirs, lam = _fitted(data, M=500, u=u, seed=seed + 1)
+            # Integer values on a coarse scale: many curves repeat exactly.
+            steps = np.round(sample.values / sample.values.std(axis=0))
+            integer = FunctionalSample(sample.grid, steps)
+            for data in (sample, doubled, integer):
+                eig, dirs, _ = _fitted(data, M=500, seed=seed + 1)
+                specs = [RegularizationSpec.from_quantile(u) for u in (0.5, 0.95)]
+                for lam in [*(resolve_lambda(spec, dirs) for spec in specs), np.inf]:
                     for f in FACTOR_GRID:
                         report = detect_outliers(eig, dirs, lam, f)
                         records, flagged = _reference_fences(eig, dirs, lam, f)
@@ -229,3 +242,23 @@ class TestBatchedFencesMatchPerPairReference:
                     )
                 rates = np.mean(per_dataset, axis=0)
                 assert calib.rates == {float(f): float(r) for f, r in zip(FACTOR_GRID, rates)}
+
+
+def test_fence_path_makes_no_count_kernel_call(monkeypatch):
+    """Candidates and fences come from the top of each direction; only the
+    per-curve depths of detect_outliers need the count kernel."""
+    sample = _contaminated(80, 300)
+    eig, dirs, lam = _fitted(sample, J=4, M=300, u=0.9, seed=301)
+    flags = tuple(_reference_fences(eig, dirs, lam, f)[1] for f in FACTOR_GRID)
+    specs = (RegularizationSpec.from_quantile(0.9),)
+    sweep = flag_sweep(sample, 4, 300, np.random.default_rng(302), specs, FACTOR_GRID)
+
+    def refuse(*args):
+        raise AssertionError("the count kernel ran")
+
+    monkeypatch.setattr("rhdepth.rhd._min_counts", refuse)
+    with pytest.raises(AssertionError, match="count kernel"):
+        depth_from_scores(dirs, lam, eig.scores, eig.scores)
+    assert flag_candidates(eig, dirs, lam, FACTOR_GRID) == flags
+    rng = np.random.default_rng(302)
+    assert flag_sweep(sample, 4, 300, rng, specs, FACTOR_GRID) == sweep

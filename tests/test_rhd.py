@@ -19,7 +19,8 @@ from rhdepth import (
     resolve_lambda,
 )
 from rhdepth.funspace import fit_fpca
-from rhdepth.rhd import _COUNT_BLOCK, _min_counts, depth_from_scores
+from rhdepth.outlier import _candidate_fences, _sorted_quartiles
+from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _min_counts, depth_from_scores
 from rhdepth.simlab import generate_inliers
 
 
@@ -328,7 +329,7 @@ class TestCountKernel:
     def test_matches_per_direction_search(self, name, k):
         sample, eval_scores, coeff = _kernel_case(name, k)
         ref_min, ref_points, ref_columns = _reference_min_counts(sample, eval_scores, coeff)
-        min_counts, (points, columns), _ = _min_counts(sample, eval_scores, coeff)
+        min_counts, (points, columns) = _min_counts(sample, eval_scores, coeff)
         assert np.array_equal(min_counts, ref_min)
         assert np.array_equal(points, ref_points)
         assert np.array_equal(columns, ref_columns)
@@ -372,9 +373,10 @@ class TestCountKernel:
 
 
 class TestKernelQuartiles:
-    """The self-depth pass's Q1 and Q3 are NumPy's linear percentiles of its
-    own projection product, bit for bit. At n = 4, 5, 6, 7 the Q1 lerp
-    weight t is 0.75, 0, 0.25 and 0.5, so both lerp forms are reached."""
+    """The fence path's Q1 and Q3 are NumPy's linear percentiles of its own
+    projection product, the count kernel's, bit for bit. At n = 4, 5, 6, 7
+    the Q1 lerp weight t is 0.75, 0, 0.25 and 0.5, so both lerp forms are
+    reached."""
 
     @pytest.mark.parametrize("k", [1, _COUNT_BLOCK, _COUNT_BLOCK + 1])
     @pytest.mark.parametrize(
@@ -387,18 +389,19 @@ class TestKernelQuartiles:
             coeff = rng.standard_normal((k, 3))
         else:
             sample, _, coeff = _kernel_case(name, k)
-        _, _, (proj, q1, q3) = _min_counts(sample, sample, coeff)
+        J = sample.shape[1]
+        eig = _toy_eigensystem(np.ones(J), sample)
+        proj, _, columns, _, (q1, q3) = _candidate_fences(eig, _pool(coeff, np.ones(J)), np.inf)
         assert np.array_equal(proj, sample @ coeff.T)
         ref_q1, ref_q3 = np.percentile(proj, [25.0, 75.0], axis=0)
-        assert np.array_equal(q1, ref_q1)
-        assert np.array_equal(q3, ref_q3)
+        assert np.array_equal(q1, ref_q1[columns])
+        assert np.array_equal(q3, ref_q3[columns])
+        # every direction's quartiles, not only the candidates' directions
+        all_q1, all_q3 = _sorted_quartiles(np.sort(proj.T, axis=1))
+        assert np.array_equal(all_q1, ref_q1)
+        assert np.array_equal(all_q3, ref_q3)
 
-    def test_only_a_self_depth_pass_gives_quartiles(self):
-        sample, eval_scores, coeff = _kernel_case("eval", 3)
-        assert _min_counts(sample, eval_scores, coeff)[2] is None
-        empty = np.zeros((0, 3))
-        assert _min_counts(empty, empty, coeff)[2] is None
-        dirs = _pool(coeff, [1.0, 1.0, 1.0])
-        res = depth_from_scores(dirs, np.inf, sample, sample)
-        assert np.array_equal(res.accepted, np.arange(3))
-        assert np.array_equal(res.projections, sample @ coeff.T)
+    def test_self_depth_result_is_a_plain_depth_result(self):
+        sample, _, coeff = _kernel_case("self", 3)
+        res = depth_from_scores(_pool(coeff, [1.0, 1.0, 1.0]), np.inf, sample, sample)
+        assert type(res) is DepthResult
