@@ -55,7 +55,7 @@ from .io import (
 )
 from .outlier import FACTOR_GRID, calibrate_factor, detect_outliers
 from .rhd import RegularizationSpec, approximate_rhd, draw_directions, resolve_lambda
-from .simlab import ScenarioSpec, generate_scenario
+from .simlab import DEFAULT_GRID_SIZE, DEFAULT_TRUNCATION, ScenarioSpec, generate_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,7 +197,7 @@ def _config_int(key: str, text: str) -> int:
 
 
 def _scenario_from_lines(lines) -> ScenarioSpec:
-    fields = {"n_inliers": None, "outliers": "", "p": 50, "J0": 15}
+    fields = {"n_inliers": None, "outliers": "", "p": DEFAULT_GRID_SIZE, "J0": DEFAULT_TRUNCATION}
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -343,9 +343,9 @@ class _Command:
     """One subcommand; its help text is the pipeline's docstring.
 
     pipeline(args), called with the seed resolved, returns (outputs, resolved):
-    outputs maps each output path to its text or JSON payload, the first path
-    also naming the manifest; resolved holds the values the manifest records
-    after the flags.
+    outputs maps each output path to its text or JSON payload; resolved holds
+    the values the manifest records after the flags. The first --out* flag
+    the command takes also names the manifest.
     """
 
     pipeline: Callable
@@ -378,13 +378,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _checked_outputs(args, cmd) -> str:
+    """The manifest's path, once no two outputs (it included) resolve to one
+    file, and no output is a directory or lies in a missing one."""
+    flags = [f"--{f}" for f in (*cmd.recorded, *cmd.unrecorded) if f.startswith("out")]
+    named = {flag: vars(args)[flag[2:].replace("-", "_")] for flag in flags}
+    manifest = named[f"the manifest of {flags[0]}"] = named[flags[0]] + ".manifest.json"
+    seen = {}
+    for name, path in named.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]} and {name} are the same file {path!r}")
+        seen[real] = name
+        if os.path.isdir(real):
+            raise ValueError(f"{name} {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ValueError(f"{name} {path!r}: its directory does not exist")
+    return manifest
+
+
 def _run_command(args, argv, parser) -> int:
-    """Resolve the seed, run the pipeline, write its outputs and the manifest."""
+    """Resolve the seed, check the outputs, run the pipeline, write its outputs and manifest."""
     start = time.monotonic()
     cmd = _COMMANDS[args.command]
     seeded = "seed" in cmd.unrecorded
     if seeded:
         args.seed = _resolve_seed(args, parser)
+    manifest_path = _checked_outputs(args, cmd)
     outputs, resolved = cmd.pipeline(args)
     for path, content in outputs.items():
         if isinstance(content, str):
@@ -406,7 +426,7 @@ def _run_command(args, argv, parser) -> int:
         "version": _package_version(),
         "wall_time_seconds": time.monotonic() - start,
     }
-    write_json(next(iter(outputs)) + ".manifest.json", manifest)
+    write_json(manifest_path, manifest)
     return 0
 
 

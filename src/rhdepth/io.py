@@ -26,20 +26,23 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the target directory, then rename.
 
     The file gets mode 0o666 less the umask, as open() would give it;
-    mkstemp alone creates it 0o600.
+    mkstemp alone creates it 0o600. An OSError names path, not the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         umask = os.umask(0)  # the only way to read it; restored at once
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -13,12 +13,14 @@ kernel: along a direction the count #{i : p_i >= p_j} can only fall as p_j
 rises, so its smallest is the tie run at the top. The candidates are the
 curves on top of the directions with the shortest run, and those are
 their minimizing directions. Q1 and Q3 serve every factor, and only the
-candidates are tested. `detect_outliers` and `flag_candidates` share this
+candidates are tested. `detect_outliers` and `flag_sweep` share this
 fence path; `detect_outliers` runs the count kernel once, for the depths.
 
 `flag_sweep` is the replicate step of both simulation studies (a
 calibration null dataset, a ROC replicate in `evalkit.roc_table`): fit,
-one direction pool seeded from the caller's RNG, flags per lambda and factor.
+one direction pool seeded from the caller's RNG, one projection product
+and sort at the largest lambda, whose columns every lambda reads, flags
+per lambda and factor.
 
 The factor f is calibrated on Gaussian null data matching the input's
 empirical mean and covariance, targeting a 0.7% flagged proportion.
@@ -33,8 +35,8 @@ import numpy as np
 from ._parallel import parallel_map
 from .errors import EmptyPoolError
 from .funspace import EigenSystem, FunctionalSample, fit_fpca
-from .rhd import _COUNT_BLOCK, DirectionSet, RegularizationSpec, depth_from_scores
-from .rhd import draw_directions, resolve_lambda
+from .rhd import _COUNT_BLOCK, DirectionSet, RegularizationSpec, _accepted_projections
+from .rhd import depth_from_scores, draw_directions, resolve_lambda
 
 FACTOR_GRID = (1.5, 2.0, 2.5, 3.0, 3.5)
 TARGET_RATE = 0.007
@@ -94,27 +96,29 @@ def _sorted_quartiles(rows: np.ndarray):
     return quartiles
 
 
-def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lam: float):
-    """The sample projections on the accepted directions (n, k) and, per
-    (candidate, minimizing direction) pair, candidates ascending and then
-    directions ascending: the candidate, the projections' column, the pool
-    direction, and (Q1, Q3) of that column."""
-    accepted = dirs.accepted(lam)
-    if accepted.size == 0:
-        raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
-    # The count kernel's product, bit for bit, so the candidates are the
-    # curves at its minimal depth.
-    projections = eig.scores[:, : dirs.truncation] @ dirs.coefficients[accepted].T
+def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lams):
+    """The sample projections on the directions accepted at the largest
+    lambda (n, k) and, per lambda, its (candidate, minimizing direction)
+    pairs, candidates ascending and then directions ascending: candidates,
+    columns (each a direction whose norm that lambda accepts), pool
+    directions, and (Q1, Q3) of those columns."""
+    accepted, projections = _accepted_projections(dirs, max(lams, default=np.inf), eig.scores)
     at_top = projections == projections.max(axis=0)
     runs = at_top.sum(axis=0)
-    owners, columns = np.nonzero(at_top & (runs == runs.min()))
     # Sorted as contiguous rows, a block of directions at a time, so no
     # (k, n) copy is held.
     q1, q3 = np.hstack([
         _sorted_quartiles(np.sort(projections[:, lo : lo + _COUNT_BLOCK].T.copy(), axis=1))
         for lo in range(0, projections.shape[1], _COUNT_BLOCK)
     ])
-    return projections, owners, columns, accepted[columns], (q1[columns], q3[columns])
+    per_lambda = []
+    for lam in lams:
+        kept = dirs.rkhs_norms[accepted] <= lam
+        if not kept.any():
+            raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
+        owners, columns = np.nonzero(at_top & (kept & (runs == runs[kept].min())))
+        per_lambda.append((owners, columns, accepted[columns], (q1[columns], q3[columns])))
+    return projections, per_lambda
 
 
 def _fences(q1, q3, factor: float):
@@ -128,32 +132,28 @@ def _fences(q1, q3, factor: float):
     return iqr, lower, upper
 
 
-def flag_candidates(eig: EigenSystem, dirs: DirectionSet, lam: float, factors) -> tuple:
-    """Flagged curves of the fitted sample for each fence factor.
-
-    Candidates and quartiles are found once and every factor is applied to
-    the same quartiles; only the candidates are tested.
-    """
-    projections, owners, columns, _, quartiles = _candidate_fences(eig, dirs, lam)
-    candidates = np.unique(owners)
-    rows = projections[np.ix_(candidates, columns)]
-    flagged = []
-    for factor in factors:
-        _, lower, upper = _fences(*quartiles, factor)
-        hit = ((rows < lower) | (rows > upper)).any(axis=1)
-        flagged.append(tuple(int(i) for i in candidates[hit]))
-    return tuple(flagged)
-
-
 def flag_sweep(sample: FunctionalSample, J: int, M: int, rng, specs, factors) -> list:
-    """One simulation replicate: flag_candidates for each spec, per factor.
+    """One simulation replicate: per spec, the flagged curves for each factor.
 
     Fits FPCA to the sample and draws one direction pool, seeded from the
     next draw of the numpy Generator rng, which every spec's lambda shares.
+    Every factor is applied to the same quartiles; only candidates are tested.
     """
     eig = fit_fpca(sample, J)
     dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
-    return [flag_candidates(eig, dirs, resolve_lambda(spec, dirs), factors) for spec in specs]
+    lams = [resolve_lambda(spec, dirs) for spec in specs]
+    projections, per_lambda = _candidate_fences(eig, dirs, lams)
+    sweep = []
+    for owners, columns, _, quartiles in per_lambda:
+        candidates = np.unique(owners)
+        rows = projections[np.ix_(candidates, columns)]
+        flagged = []
+        for factor in factors:
+            _, lower, upper = _fences(*quartiles, factor)
+            hit = ((rows < lower) | (rows > upper)).any(axis=1)
+            flagged.append(tuple(int(i) for i in candidates[hit]))
+        sweep.append(tuple(flagged))
+    return sweep
 
 
 def detect_outliers(
@@ -165,7 +165,7 @@ def detect_outliers(
     _require_fence_sample(eig.scores.shape[0])
     # Before the fences: the count kernel's arrays are freed when it returns.
     depths = depth_from_scores(dirs, lam, eig.scores, eig.scores).depths
-    projections, owners, columns, directions, (q1, q3) = _candidate_fences(eig, dirs, lam)
+    projections, [(owners, columns, directions, (q1, q3))] = _candidate_fences(eig, dirs, [lam])
     iqr, lower, upper = _fences(q1, q3, factor)
     pairs = projections[:, columns]
     outside = (pairs < lower) | (pairs > upper)

@@ -174,16 +174,25 @@ def _merged_ranks(eval_rows: np.ndarray, sample_rows: np.ndarray) -> np.ndarray:
     return at - np.arange(q)
 
 
-def _min_counts(sample_scores: np.ndarray, eval_scores: np.ndarray, coeff: np.ndarray):
+def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
+    """The pool indices accepted at lambda and the (n, k) projections of the
+    score rows on them: the one product the count kernel and fences share."""
+    accepted = dirs.accepted(lam)
+    if accepted.size == 0:
+        raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
+    return accepted, scores[:, : dirs.truncation] @ dirs.coefficients[accepted].T
+
+
+def _min_counts(proj_sample: np.ndarray, eval_scores, coeff: np.ndarray):
     """Halfspace counts minimized over directions.
 
-    count[m, j] = #{i : S_i·a_m >= x_j·a_m}, with S_i the sample scores, x_j
-    the evaluation scores and a_m the rows of coeff: n less the lower-bound
-    rank of x_j·a_m among the sample projections. Directions go in blocks
-    of _COUNT_BLOCK. Per direction the evaluation projections are sorted
-    once and ranked against the sorted sample projections by a stable
-    merge; when the evaluation scores are the sample scores, a rank is the
-    start of the value's tie run in that one sorted row, and no merge runs.
+    count[m, j] = #{i : S_i·a_m >= x_j·a_m}, with S_i·a_m = proj_sample[i, m],
+    x_j the evaluation scores and a_m the rows of coeff: n less the
+    lower-bound rank of x_j·a_m among the sample projections. Directions go
+    in blocks of _COUNT_BLOCK. Per direction the evaluation projections are
+    sorted once and ranked against the sorted sample projections by a stable
+    merge; when eval_scores is None (the sample itself), a rank is the start
+    of the value's tie run in that one sorted row, and no merge runs.
 
     The evaluation projections are made one block at a time, so a separate
     evaluation set never holds a (q, k) matrix: beside the (n, k) sample
@@ -194,10 +203,9 @@ def _min_counts(sample_scores: np.ndarray, eval_scores: np.ndarray, coeff: np.nd
     evaluation point, and the (point, coeff row) pairs that attain it,
     point-major with columns ascending.
     """
-    n = sample_scores.shape[0]
-    proj_sample = sample_scores @ coeff.T
-    itself = np.array_equal(sample_scores, eval_scores)
-    q, k = eval_scores.shape[0], coeff.shape[0]
+    n = proj_sample.shape[0]
+    itself = eval_scores is None
+    q, k = n if itself else eval_scores.shape[0], coeff.shape[0]
     counts = np.empty((k, q), dtype=np.min_scalar_type(n))
     for lo in range(0, k, _COUNT_BLOCK):
         block = slice(lo, lo + _COUNT_BLOCK)
@@ -227,13 +235,13 @@ def depth_from_scores(
     The depth at x is the minimum over accepted directions a of the
     fraction of sample rows S_i with S_i·a >= x·a.
     """
-    accepted = dirs.accepted(lam)
-    if accepted.size == 0:
-        raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
     J = dirs.truncation
+    accepted, projections = _accepted_projections(dirs, lam, sample_scores)
+    itself = np.array_equal(sample_scores[:, :J], eval_scores[:, :J])
     min_counts, (points, columns) = _min_counts(
-        sample_scores[:, :J], eval_scores[:, :J], dirs.coefficients[accepted]
+        projections, None if itself else eval_scores[:, :J], dirs.coefficients[accepted]
     )
+    del projections  # freed before the minimizing directions are split
     n = sample_scores.shape[0]
     # Every point has at least one minimizing direction; the last piece is empty.
     ends = np.cumsum(np.bincount(points, minlength=min_counts.size))

@@ -18,7 +18,7 @@ from rhdepth import (
     roc_table,
     tukey_depth_2d_exact,
 )
-from rhdepth.outlier import flag_candidates
+from rhdepth.outlier import detect_outliers
 from rhdepth.rhd import depth_from_scores
 
 
@@ -244,7 +244,8 @@ class TestRocTable:
             dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
             for u in u_grid:
                 lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
-                for f, flagged in zip(factor_grid, flag_candidates(eig, dirs, lam, factor_grid)):
+                for f in factor_grid:
+                    flagged = detect_outliers(eig, dirs, lam, f).flagged
                     per_cell[(u, f)].append(detection_metrics(flagged, labels))
         expected = [
             {

@@ -72,6 +72,15 @@ class TestIo:
         with pytest.raises(OSError):
             read_sample(str(tmp_path / "absent.csv"))
 
+    @pytest.mark.parametrize("target", ["nodir/o.json", "adir"])
+    def test_write_error_names_the_target(self, target, tmp_path):
+        (tmp_path / "adir").mkdir()
+        path = str(tmp_path / target)
+        with pytest.raises(OSError) as raised:
+            atomic_write_text(path, "x\n")
+        assert raised.value.filename == path and ".tmp" not in str(raised.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+
 
 class TestScenarioConfig:
     def test_parse(self, tmp_path):
@@ -473,6 +482,44 @@ def test_three_curves_refused_before_calibrating(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "need at least 4 curves for quartile fences" in err
     assert not out.exists()
+
+
+def _refuse_pipeline(*args, **kwargs):
+    raise AssertionError("the pipeline ran")
+
+
+@pytest.mark.parametrize(
+    "labels, flags",
+    [
+        ("{o}", "--out-sample and --out-labels"),
+        ("{d}/./{n}", "--out-sample and --out-labels"),
+        ("{o}.manifest.json", "--out-labels and the manifest of --out-sample"),
+    ],
+)
+def test_colliding_outputs_refused(labels, flags, cli_files, capsys, monkeypatch):
+    monkeypatch.setattr("rhdepth.cli.generate_scenario", _refuse_pipeline)
+    out = cli_files["o"]
+    d, n = os.path.split(out)
+    argv = ["simulate", "--scenario", cli_files["c"], "--seed", "1", "--out-sample", out]
+    assert run(argv + ["--out-labels", labels.format(o=out, d=d, n=n)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flags in err
+    assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")
+
+
+@pytest.mark.parametrize("target, message", [("nodir/o", "does not exist"), ("adir", "directory")])
+def test_unwritable_output_refused_before_the_pipeline(
+    target, message, cli_files, capsys, monkeypatch
+):
+    monkeypatch.setattr("rhdepth.cli.calibrate_factor", _refuse_pipeline)
+    d = os.path.dirname(cli_files["o"])
+    os.mkdir(os.path.join(d, "adir"))
+    out = os.path.join(d, target)
+    argv = ["outliers", "--input", cli_files["s"], "--J", "3", "--M", "200", "--u", "0.5"]
+    assert run(argv + ["--calibrate", "--B", "200", "--seed", "1", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"--out {out!r}" in err and message in err
+    assert ".tmp" not in err
 
 
 @pytest.mark.parametrize(

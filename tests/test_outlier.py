@@ -1,5 +1,7 @@
 """Boxplot-fence outlier detection and fence-factor calibration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from rhdepth import (
     make_uniform_grid,
     resolve_lambda,
 )
-from rhdepth.outlier import FenceRecord, flag_candidates, flag_sweep
+from rhdepth import rhd
+from rhdepth.errors import EmptyPoolError
+from rhdepth.outlier import FenceRecord, flag_sweep
 from rhdepth.rhd import depth_from_scores
 
 
@@ -244,14 +248,20 @@ class TestBatchedFencesMatchPerPairReference:
                 assert calib.rates == {float(f): float(r) for f, r in zip(FACTOR_GRID, rates)}
 
 
+def _sweep_pool(sample, J, M, seed):
+    """The eigensystem and pool flag_sweep builds from default_rng(seed)."""
+    eig = fit_fpca(sample, J)
+    return eig, draw_directions(eig, J, M, seed=int(np.random.default_rng(seed).integers(2**63)))
+
+
 def test_fence_path_makes_no_count_kernel_call(monkeypatch):
     """Candidates and fences come from the top of each direction; only the
     per-curve depths of detect_outliers need the count kernel."""
     sample = _contaminated(80, 300)
-    eig, dirs, lam = _fitted(sample, J=4, M=300, u=0.9, seed=301)
+    eig, dirs = _sweep_pool(sample, 4, 300, 302)
+    spec = RegularizationSpec.from_quantile(0.9)
+    lam = resolve_lambda(spec, dirs)
     flags = tuple(_reference_fences(eig, dirs, lam, f)[1] for f in FACTOR_GRID)
-    specs = (RegularizationSpec.from_quantile(0.9),)
-    sweep = flag_sweep(sample, 4, 300, np.random.default_rng(302), specs, FACTOR_GRID)
 
     def refuse(*args):
         raise AssertionError("the count kernel ran")
@@ -259,6 +269,56 @@ def test_fence_path_makes_no_count_kernel_call(monkeypatch):
     monkeypatch.setattr("rhdepth.rhd._min_counts", refuse)
     with pytest.raises(AssertionError, match="count kernel"):
         depth_from_scores(dirs, lam, eig.scores, eig.scores)
-    assert flag_candidates(eig, dirs, lam, FACTOR_GRID) == flags
     rng = np.random.default_rng(302)
-    assert flag_sweep(sample, 4, 300, rng, specs, FACTOR_GRID) == sweep
+    assert flag_sweep(sample, 4, 300, rng, (spec,), FACTOR_GRID) == [flags]
+
+
+def test_sweep_matches_per_lambda_detect_outliers():
+    """One sweep over u = 0.5, 0.95 and lambda = inf reads the smaller
+    lambdas' columns from the largest lambda's product; its flags equal
+    those of a detect_outliers call per lambda, on the plain, doubled and
+    integer-valued samples of TestBatchedFencesMatchPerPairReference."""
+    specs = [RegularizationSpec.from_quantile(u) for u in (0.5, 0.95)]
+    specs.append(RegularizationSpec.from_lambda(np.inf))
+    for seed in TestBatchedFencesMatchPerPairReference.SEEDS:
+        sample = _contaminated(150, seed)
+        half = _contaminated(75, seed)
+        doubled = FunctionalSample(half.grid, np.vstack([half.values, half.values]))
+        steps = np.round(sample.values / sample.values.std(axis=0))
+        integer = FunctionalSample(sample.grid, steps)
+        for data in (sample, doubled, integer):
+            eig, dirs = _sweep_pool(data, 6, 500, seed)
+            lams = [resolve_lambda(spec, dirs) for spec in specs]
+            expected = [
+                tuple(detect_outliers(eig, dirs, lam, f).flagged for f in FACTOR_GRID)
+                for lam in lams
+            ]
+            rng = np.random.default_rng(seed)
+            assert flag_sweep(data, 6, 500, rng, specs, FACTOR_GRID) == expected
+
+
+def test_sweep_refuses_a_lambda_below_every_norm():
+    sample = _contaminated(60, 303)
+    _, dirs = _sweep_pool(sample, 4, 200, 304)
+    low = float(dirs.rkhs_norms.min()) / 2
+    specs = (RegularizationSpec.from_quantile(0.5), RegularizationSpec.from_lambda(low))
+    with pytest.raises(EmptyPoolError, match=re.escape(f"lambda={low!r}")) as raised:
+        flag_sweep(sample, 4, 200, np.random.default_rng(304), specs, FACTOR_GRID)
+    assert raised.value.lam == low
+
+
+def test_sweep_projects_once_for_all_lambdas(monkeypatch):
+    """A flag_sweep makes one projection product however many specs it has."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = rhd._accepted_projections
+    monkeypatch.setattr("rhdepth.rhd._accepted_projections", counted)
+    monkeypatch.setattr("rhdepth.outlier._accepted_projections", counted)
+    specs = [RegularizationSpec.from_quantile(u) for u in (0.5, 0.7, 0.9, 0.95)]
+    rng = np.random.default_rng(306)
+    sweep = flag_sweep(_contaminated(60, 305), 4, 200, rng, specs, FACTOR_GRID)
+    assert len(sweep) == 4 and len(calls) == 1

@@ -19,8 +19,9 @@ from rhdepth import (
     resolve_lambda,
 )
 from rhdepth.funspace import fit_fpca
-from rhdepth.outlier import _candidate_fences, _sorted_quartiles
-from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _min_counts, depth_from_scores
+from rhdepth.outlier import _sorted_quartiles, detect_outliers
+from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _accepted_projections, _min_counts
+from rhdepth.rhd import depth_from_scores
 from rhdepth.simlab import generate_inliers
 
 
@@ -323,13 +324,20 @@ _KERNEL_CASES = (
 )
 
 
+def _kernel(sample, eval_scores, coeff):
+    """The count kernel on the sample's projections, with depth_from_scores'
+    choice of the self pass."""
+    itself = np.array_equal(sample, eval_scores)
+    return _min_counts(sample @ coeff.T, None if itself else eval_scores, coeff)
+
+
 class TestCountKernel:
     @pytest.mark.parametrize("k", [1, _COUNT_BLOCK, _COUNT_BLOCK + 1, 3 * _COUNT_BLOCK + 5])
     @pytest.mark.parametrize("name", _KERNEL_CASES)
     def test_matches_per_direction_search(self, name, k):
         sample, eval_scores, coeff = _kernel_case(name, k)
         ref_min, ref_points, ref_columns = _reference_min_counts(sample, eval_scores, coeff)
-        min_counts, (points, columns) = _min_counts(sample, eval_scores, coeff)
+        min_counts, (points, columns) = _kernel(sample, eval_scores, coeff)
         assert np.array_equal(min_counts, ref_min)
         assert np.array_equal(points, ref_points)
         assert np.array_equal(columns, ref_columns)
@@ -359,7 +367,7 @@ class TestCountKernel:
         coeff = rng.standard_normal((k, J))
         tracemalloc.start()
         try:
-            _min_counts(sample, eval_scores, coeff)
+            _kernel(sample, eval_scores, coeff)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -373,7 +381,7 @@ class TestCountKernel:
 
 
 class TestKernelQuartiles:
-    """The fence path's Q1 and Q3 are NumPy's linear percentiles of its own
+    """The fences' Q1 and Q3 are NumPy's linear percentiles of the one
     projection product, the count kernel's, bit for bit. At n = 4, 5, 6, 7
     the Q1 lerp weight t is 0.75, 0, 0.25 and 0.5, so both lerp forms are
     reached."""
@@ -390,12 +398,15 @@ class TestKernelQuartiles:
         else:
             sample, _, coeff = _kernel_case(name, k)
         J = sample.shape[1]
-        eig = _toy_eigensystem(np.ones(J), sample)
-        proj, _, columns, _, (q1, q3) = _candidate_fences(eig, _pool(coeff, np.ones(J)), np.inf)
+        eig, dirs = _toy_eigensystem(np.ones(J), sample), _pool(coeff, np.ones(J))
+        accepted, proj = _accepted_projections(dirs, np.inf, eig.scores)
+        assert np.array_equal(accepted, np.arange(k))
         assert np.array_equal(proj, sample @ coeff.T)
         ref_q1, ref_q3 = np.percentile(proj, [25.0, 75.0], axis=0)
-        assert np.array_equal(q1, ref_q1[columns])
-        assert np.array_equal(q3, ref_q3[columns])
+        fences = detect_outliers(eig, dirs, np.inf, 1.5).fences
+        assert fences
+        assert [f.q1 for f in fences] == ref_q1[[f.direction for f in fences]].tolist()
+        assert [f.q3 for f in fences] == ref_q3[[f.direction for f in fences]].tolist()
         # every direction's quartiles, not only the candidates' directions
         all_q1, all_q3 = _sorted_quartiles(np.sort(proj.T, axis=1))
         assert np.array_equal(all_q1, ref_q1)
