@@ -13,8 +13,9 @@ and for a failed allocation, 2 for rank or empty-pool errors, 0 otherwise.
 Refused values: --u or a --u-grid entry outside (0, 1); --lambda not
 positive, NaN included (inf means no regularization); --factor or a
 --factor-grid entry that is not positive and finite, or that overflows a
-fence; a negative seed; a thread count below 1. JSON outputs and
-manifests are strict JSON: an infinite lambda is the string "inf".
+fence; --J, --M, --B or --replicates below 1; a negative seed; a thread
+count below 1. JSON outputs and manifests are strict JSON: an infinite
+lambda is the string "inf".
 
 Scenario config files are plain key=value lines; the seed comes from
 --seed, not from the file. For example:
@@ -93,6 +94,17 @@ def _float_in(low: float, high: float, expect: str):
     return parse
 
 
+def _count(text: str) -> int:
+    """An integer flag value of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 _factor = _float_in(0, math.inf, "be positive and finite")  # a fence factor
 _quantile = _float_in(0, 1, "lie in (0, 1)")  # a quantile level
 
@@ -113,9 +125,9 @@ _FLAGS = {
     "input": dict(required=True, help="sample CSV (grid row + curves)"),
     "eval": dict(help="evaluation-point CSV; defaults to the sample"),
     "scenario": dict(required=True, help="key=value scenario config"),
-    "J": dict(type=int, default=6, help="truncation level (default 6)"),
+    "J": dict(type=_count, default=6, help="truncation level (default 6)"),
     "M": dict(
-        type=int,
+        type=_count,
         default=1000,
         help="random proposal directions, plus one data direction per curve (default 1000)",
     ),
@@ -123,10 +135,10 @@ _FLAGS = {
     "lambda": dict(type=float, help="explicit lambda"),
     "factor": dict(type=_factor, help="fence factor f"),
     "calibrate": dict(action="store_true", help="calibrate f on null data"),
-    "B": dict(type=int, default=100, help="null datasets for calibration"),
+    "B": dict(type=_count, default=100, help="null datasets for calibration"),
     "u-grid": dict(type=_grid(_quantile), default=DEFAULT_QUANTILE_GRID, help="quantile levels"),
     "factor-grid": dict(type=_grid(_factor), default=FACTOR_GRID, help="fence factors"),
-    "replicates": dict(type=int, default=100, help="scenario replicates"),
+    "replicates": dict(type=_count, default=100, help="scenario replicates"),
     "seed": dict(type=int, help="RNG seed"),
     "out": dict(required=True, help="output path"),
     "out-sample": dict(required=True, help="output curve CSV"),

@@ -148,30 +148,10 @@ def resolve_lambda(spec: RegularizationSpec, dirs: DirectionSet) -> float:
     return float(np.sort(dirs.rkhs_norms[:m])[k - 1])
 
 
-# Directions per block of the count kernel. It bounds the kernel's
-# temporaries to a few (block, q + n) arrays beside the (k, q) counts;
-# the fence path (outlier.py) sorts its projections in blocks of this size.
+# Directions per block of the count kernel, whose temporaries are a few
+# (q, block) and (block, n) arrays beside its records of counted pairs; the
+# fence path (outlier.py) sorts its projections in blocks of this size.
 _COUNT_BLOCK = 64
-
-
-def _tie_run_starts(rows: np.ndarray) -> np.ndarray:
-    """Per entry of each sorted row, the index of the first entry equal to it."""
-    starts = np.zeros(rows.shape, dtype=np.intp)
-    starts[:, 1:] = np.where(rows[:, 1:] != rows[:, :-1], np.arange(1, rows.shape[1]), 0)
-    return np.maximum.accumulate(starts, axis=1)
-
-
-def _merged_ranks(eval_rows: np.ndarray, sample_rows: np.ndarray) -> np.ndarray:
-    """Per entry of each sorted eval row, the number of entries of the same
-    sorted sample row that are below it (its lower-bound rank there)."""
-    b, q = eval_rows.shape
-    width = q + sample_rows.shape[1]
-    # A stable sort of two sorted runs is one merge. Among equal values the
-    # eval entries stay first, so the sample entries ahead of the j-th eval
-    # entry are exactly those below it: its position less j.
-    merged = np.argsort(np.hstack([eval_rows, sample_rows]), axis=1, kind="stable")
-    at = np.flatnonzero(merged < q).reshape(b, q) - (np.arange(b) * width)[:, None]
-    return at - np.arange(q)
 
 
 def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
@@ -183,45 +163,65 @@ def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
     return accepted, scores[:, : dirs.truncation] @ dirs.coefficients[accepted].T
 
 
+def _lower_ranks(rows: np.ndarray, at: np.ndarray, values: np.ndarray, start: np.ndarray):
+    """np.searchsorted(rows[r], v, side="left") for each (r, v, s) in zip(at,
+    values, start), known to be at least s: one branchless binary search."""
+    n = rows.shape[1]
+    flat, before = rows.ravel(), at * n - 1  # flat[before + i] is rows[at, i - 1]
+    ranks, step = start, 1 << (n.bit_length() - 1)
+    while step:
+        ahead = np.minimum(ranks + step, n)
+        ranks = np.where(flat[before + ahead] < values, ahead, ranks)
+        step >>= 1
+    return ranks
+
+
 def _min_counts(proj_sample: np.ndarray, eval_scores, coeff: np.ndarray):
     """Halfspace counts minimized over directions.
 
     count[m, j] = #{i : S_i·a_m >= x_j·a_m}, with S_i·a_m = proj_sample[i, m],
-    x_j the evaluation scores and a_m the rows of coeff: n less the
-    lower-bound rank of x_j·a_m among the sample projections. Directions go
-    in blocks of _COUNT_BLOCK. Per direction the evaluation projections are
-    sorted once and ranked against the sorted sample projections by a stable
-    merge; when eval_scores is None (the sample itself), a rank is the start
-    of the value's tie run in that one sorted row, and no merge runs.
+    x_j the evaluation scores (the sample itself when eval_scores is None)
+    and a_m the rows of coeff: n less the lower-bound rank of x_j·a_m among
+    the sample projections. A running bound per point starts at its count
+    along the first direction. Directions go in blocks of _COUNT_BLOCK with
+    the sample projections sorted once per block: count <= bound exactly
+    when x·a exceeds the (bound+1)-th largest of them, so one gather and one
+    compare pick out the pairs that can still reach a point's minimum. Only
+    these are counted, and they lower the bound. A pair that attains the
+    minimum is at or below the bound whenever its block runs, so the result
+    is exact whatever the order of the directions.
 
-    The evaluation projections are made one block at a time, so a separate
-    evaluation set never holds a (q, k) matrix: beside the (n, k) sample
-    projections, the largest array is the (k, q) counts, in the smallest
-    unsigned type that holds n.
+    The evaluation projections are made one block at a time, and no (k, q)
+    matrix of counts is kept: beside the (n, k) sample projections, the
+    kernel holds one record per counted pair at or below its point's bound,
+    one per output pair when every pair ties at the minimum.
 
     Returns (min_counts, (points, columns)): the minimum count per
     evaluation point, and the (point, coeff row) pairs that attain it,
     point-major with columns ascending.
     """
     n = proj_sample.shape[0]
-    itself = eval_scores is None
-    q, k = n if itself else eval_scores.shape[0], coeff.shape[0]
-    counts = np.empty((k, q), dtype=np.min_scalar_type(n))
-    for lo in range(0, k, _COUNT_BLOCK):
+    bound, found = None, []
+    for lo in range(0, coeff.shape[0], _COUNT_BLOCK):
         block = slice(lo, lo + _COUNT_BLOCK)
         # The eval product keeps the eval rows first: coeff[block] @ eval.T
         # rounds differently, and on shuffled copies of the sample it moved
         # 38 of 10000 depths off the self-depth's, against 4 this way.
-        rows = (proj_sample[:, block] if itself else eval_scores @ coeff[block].T).T.copy()
-        order = np.argsort(rows, axis=1)
-        rows.sort(axis=1)
-        if itself:
-            ranks = _tie_run_starts(rows)
-        else:
-            ranks = _merged_ranks(rows, np.sort(proj_sample[:, block].T, axis=1))
-        np.put_along_axis(counts[block], order, n - ranks, axis=1)
-    min_counts = counts.min(axis=0)
-    return min_counts, np.nonzero((counts == min_counts).T)
+        x = proj_sample[:, block] if eval_scores is None else eval_scores @ coeff[block].T
+        rows = np.sort(proj_sample[:, block].T, axis=1)
+        if bound is None:
+            bound = n - np.searchsorted(rows[0], x[:, 0], side="left")
+        survive = x > rows.T[np.maximum(n - 1 - bound, 0)]
+        survive[bound == n] = True  # no (n+1)-th largest: every count is at most n
+        points, columns = np.divmod(np.flatnonzero(survive), rows.shape[0])
+        counts = n - _lower_ranks(rows, columns, x[points, columns], n - bound[points])
+        np.minimum.at(bound, points, counts)
+        keep = counts <= bound[points]
+        found.append((points[keep], columns[keep] + lo, counts[keep]))
+    points, columns, counts = (np.concatenate(part) for part in zip(*found))
+    keep = counts == bound[points]
+    order = np.argsort(points[keep], kind="stable")
+    return bound, (points[keep][order], columns[keep][order])
 
 
 def depth_from_scores(

@@ -550,6 +550,27 @@ def test_bad_u_grid_entry_refused_at_parse_time(entry, cli_files, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["depth", "--input", "{s}", "--u", "0.5"], "--J", "0"),
+        (["depth", "--input", "{s}", "--u", "0.5"], "--M", "0"),
+        (["depth", "--input", "{s}", "--u", "0.5"], "--M", "-3"),
+        (["calibrate", "--input", "{s}", "--u", "0.5"], "--B", "0"),
+        (["outliers", "--input", "{s}", "--u", "0.5", "--calibrate"], "--B", "0"),
+        (["bench", "--scenario", "{c}"], "--replicates", "0"),
+    ],
+)
+def test_count_flag_below_one_refused_at_parse_time(argv, flag, value, cli_files, capsys):
+    out = cli_files["o"]
+    argv = [token.format(**cli_files) for token in argv]
+    assert run(argv + [flag, value, "--seed", "1", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"argument {flag}: must be at least 1, got '{value}'" in err
+    assert not os.path.exists(out)
+
+
 def test_oversized_csv_field_exits_1(tmp_path, capsys):
     # One field past the csv module's 131072-character limit: the label
     # reader refuses it, the sample reader reads a number that overflows.

@@ -342,6 +342,86 @@ class TestCountKernel:
         assert np.array_equal(points, ref_points)
         assert np.array_equal(columns, ref_columns)
 
+    @staticmethod
+    def _assert_matches_reference(sample, eval_scores, coeff):
+        ref_min, ref_points, ref_columns = _reference_min_counts(sample, eval_scores, coeff)
+        min_counts, (points, columns) = _kernel(sample, eval_scores, coeff)
+        assert np.array_equal(min_counts, ref_min)
+        assert np.array_equal(points, ref_points)
+        assert np.array_equal(columns, ref_columns)
+        return min_counts, points, columns
+
+    @pytest.mark.parametrize("q", [None, 7])
+    def test_constant_sample_ties_every_pair(self, q):
+        # every projection ties, so every pair survives every block and
+        # every direction minimizes every point at count n
+        sample = np.full((12, 2), 0.5)
+        eval_scores = sample if q is None else np.full((q, 2), 0.5)
+        k = 2 * _COUNT_BLOCK + 3
+        coeff = np.random.default_rng(1).standard_normal((k, 2))
+        min_counts, points, columns = self._assert_matches_reference(sample, eval_scores, coeff)
+        q = eval_scores.shape[0]
+        assert np.array_equal(min_counts, np.full(q, 12))
+        assert np.array_equal(points, np.repeat(np.arange(q), k))
+        assert np.array_equal(columns, np.tile(np.arange(k), q))
+
+    @pytest.mark.parametrize("itself", [True, False])
+    def test_minimizers_in_the_last_block(self, itself):
+        # all sample projections on (1, 0) tie at count n, so until the last
+        # block every pair survives; only the last 5 directions, all in the
+        # last block, separate the points
+        rng = np.random.default_rng(2)
+        sample = np.column_stack([np.full(40, 2.0), rng.standard_normal(40)])
+        eval_scores = sample if itself else np.column_stack(
+            [np.full(30, 2.0), rng.standard_normal(30)]
+        )
+        k = 3 * _COUNT_BLOCK + 5
+        coeff = np.tile([1.0, 0.0], (k, 1))
+        coeff[-5:] = rng.standard_normal((5, 2))
+        min_counts, points, columns = self._assert_matches_reference(sample, eval_scores, coeff)
+        assert columns.min() >= k - 5
+        rev_min, rev_points, rev_columns = self._assert_matches_reference(
+            sample, eval_scores, coeff[::-1]
+        )
+        assert np.array_equal(rev_min, min_counts)
+        assert rev_columns.max() < 5
+        for i in range(min_counts.size):
+            mirrored = np.sort(k - 1 - rev_columns[rev_points == i])
+            assert np.array_equal(mirrored, columns[points == i])
+
+    def test_first_direction_the_unique_minimizer(self):
+        # along (1, 0) and (-1, 0) every eval point ties with the whole
+        # sample (count n); along direction 0, (0, 1), every count is
+        # below n, so the seeded bound is already every point's minimum
+        y = np.arange(20.0)
+        sample = np.column_stack([np.full(20, 3.0), y])
+        eval_scores = np.column_stack([np.full(25, 3.0), np.linspace(0.5, 21.0, 25)])
+        k = 2 * _COUNT_BLOCK + 1
+        coeff = np.tile([[1.0, 0.0], [-1.0, 0.0]], (k, 1))[:k]
+        coeff[0] = [0.0, 1.0]
+        min_counts, points, columns = self._assert_matches_reference(sample, eval_scores, coeff)
+        assert np.array_equal(points, np.arange(25))
+        assert not columns.any()
+        assert np.array_equal(min_counts, 20 - np.searchsorted(y, eval_scores[:, 1]))
+
+    @given(
+        n=st.integers(1, 25),
+        q=st.integers(1, 25),
+        J=st.integers(1, 3),
+        k=st.integers(1, 2 * _COUNT_BLOCK + 9),
+        itself=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_tied_integer_scores(self, n, q, J, k, itself, seed):
+        # integer scores and directions: exact projections with many ties,
+        # among points and among directions (zero rows included)
+        rng = np.random.default_rng(seed)
+        sample = rng.integers(-2, 3, size=(n, J)).astype(float)
+        eval_scores = sample if itself else rng.integers(-3, 4, size=(q, J)).astype(float)
+        coeff = rng.integers(-2, 3, size=(k, J)).astype(float)
+        self._assert_matches_reference(sample, eval_scores, coeff)
+
     def test_minimizing_directions_map_to_the_pool(self):
         sample, eval_scores, coeff = _kernel_case("ties_eval", _COUNT_BLOCK + 1)
         # about half the pool accepted, at scattered indices
@@ -367,11 +447,16 @@ class TestCountKernel:
         coeff = rng.standard_normal((k, J))
         tracemalloc.start()
         try:
-            _kernel(sample, eval_scores, coeff)
+            proj_sample = sample @ coeff.T
+            held = tracemalloc.get_traced_memory()[0]
+            _min_counts(proj_sample, eval_scores, coeff)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < q * k * np.dtype(float).itemsize
+        # nor a (k, q) matrix of counts: the kernel's own allocations stay
+        # below the size of one in uint16, the smallest type that holds n
+        assert peak - held < k * q * np.dtype(np.uint16).itemsize
 
     def test_empty_eval_set(self):
         dirs = _pool([[1.0], [-1.0]], [1.0])
