@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -48,6 +49,7 @@ from .evalkit import DEFAULT_QUANTILE_GRID, normalized_ranks, roc_table
 from .funspace import fit_fpca
 from .io import (
     atomic_write_text,
+    csv_text,
     eigensystem_to_json,
     labels_to_csv,
     read_sample,
@@ -245,12 +247,6 @@ def _json_float(value):
     return "inf" if value == math.inf else value
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _fit_pool(args):
     """Read the sample, fit FPCA, draw the direction pool and resolve lambda."""
     sample = read_sample(args.input)
@@ -276,12 +272,11 @@ def _depth(args):
         raise ValueError(f"--eval {args.eval}: {exc}") from None
     del evaluation  # not held while the CSV text is built
     table = normalized_ranks(result.depths)
-    rows = [
-        (i, repr(float(d)), repr(float(r)), repr(lam), len(result.minimizing_directions[i]))
-        for i, (d, r) in enumerate(zip(result.depths, table.normalized))
-    ]
-    header = ["eval_id", "depth", "normalized_rank", "lambda_used", "n_min_directions"]
-    return {args.out: _csv_text(header, rows)}, {"lambda_used": lam}
+    depths, ranks = result.depths.tolist(), table.normalized.tolist()
+    ties = map(len, result.minimizing_directions)
+    rows = zip(itertools.count(), depths, ranks, itertools.repeat(lam), ties)
+    header = ("eval_id", "depth", "normalized_rank", "lambda_used", "n_min_directions")
+    return {args.out: csv_text([header, *rows])}, {"lambda_used": lam}
 
 
 def _calibration(args, sample, spec) -> dict:
@@ -305,7 +300,7 @@ def _outliers(args):
         "flagged": list(report.flagged),
         "factor": report.factor,
         "lambda_used": _json_float(report.lambda_used),
-        "depths": [float(d) for d in report.depths],
+        "depths": report.depths.tolist(),
         # vars keeps field order; asdict would deep-copy every record.
         "fences": [dict(vars(f)) for f in report.fences],
     }
@@ -346,8 +341,8 @@ def _bench(args):
         factor_grid=args.factor_grid,
         threads=args.threads,
     )
-    rows = [(r["u"], r["f"], repr(r["p_c"]), repr(r["p_f"]), r["replicates"]) for r in roc]
-    return {args.out: _csv_text(["u", "f", "p_c", "p_f", "replicates"], rows)}, {}
+    header = ("u", "f", "p_c", "p_f", "replicates")
+    return {args.out: csv_text([header, *([r[k] for k in header] for r in roc)])}, {}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -32,7 +32,8 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Ordered time points in [0, 1] with positive quadrature weights."""
+    """Finite, strictly increasing time points with positive quadrature
+    weights that sum to their span."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -51,7 +52,8 @@ class Grid:
         if not np.all(self.weights > 0):
             raise ValueError("quadrature weights must be positive")
         span = self.points[-1] - self.points[0]
-        if abs(self.weights.sum() - span) > 1e-10:
+        # Relative: the sum's rounding error scales with the span.
+        if abs(self.weights.sum() - span) > 1e-10 * span:
             raise ValueError("weights must sum to the grid span")
 
     def __len__(self) -> int:

@@ -1,5 +1,8 @@
 """CSV/JSON interchange and atomic file writes.
 
+Every CSV output is written by `csv_text`, each field by str(): a float as
+its shortest round-trip repr, so a curve file reads back exactly.
+
 Curve CSV format: first row holds the grid points, each subsequent row one
 curve; UTF-8 with '.' decimals, any line ending (LF, CRLF or CR). NumPy's C
 parser reads it: fields may be double-quoted and padded with spaces, and a
@@ -12,6 +15,7 @@ a header, read by the csv module.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import tempfile
@@ -46,14 +50,16 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _format_row(row) -> str:
-    return ",".join(repr(float(v)) for v in row)
+def csv_text(rows) -> str:
+    """One comma-separated line per row, each value written by str()."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def sample_to_csv(sample: FunctionalSample) -> str:
-    lines = [_format_row(sample.grid.points)]
-    lines.extend(_format_row(row) for row in sample.values)
-    return "\n".join(lines) + "\n"
+    # One row's list at a time: a whole-array tolist() would hold every
+    # curve's Python floats at once.
+    rows = (row.tolist() for row in sample.values)
+    return csv_text(itertools.chain([sample.grid.points.tolist()], rows))
 
 
 def write_sample(path: str, sample: FunctionalSample) -> None:
@@ -131,9 +137,7 @@ def _sample_from_table(table: np.ndarray) -> FunctionalSample:
 
 
 def labels_to_csv(labels) -> str:
-    lines = ["index,label"]
-    lines.extend(f"{i},{lab}" for i, lab in enumerate(labels))
-    return "\n".join(lines) + "\n"
+    return csv_text([("index", "label"), *enumerate(labels)])
 
 
 def write_labels(path: str, labels) -> None:

@@ -151,7 +151,7 @@ def flag_sweep(sample: FunctionalSample, J: int, M: int, rng, specs, factors) ->
         for factor in factors:
             _, lower, upper = _fences(*quartiles, factor)
             hit = ((rows < lower) | (rows > upper)).any(axis=1)
-            flagged.append(tuple(int(i) for i in candidates[hit]))
+            flagged.append(tuple(candidates[hit].tolist()))
         sweep.append(tuple(flagged))
     return sweep
 
@@ -169,23 +169,14 @@ def detect_outliers(
     iqr, lower, upper = _fences(q1, q3, factor)
     pairs = projections[:, columns]
     outside = (pairs < lower) | (pairs > upper)
-    fences = tuple(
-        FenceRecord(
-            candidate=int(owners[c]),
-            direction=int(directions[c]),
-            q1=float(q1[c]),
-            q3=float(q3[c]),
-            iqr=float(iqr[c]),
-            lower=float(lower[c]),
-            upper=float(upper[c]),
-            flagged=tuple(np.flatnonzero(outside[:, c]).tolist()),
-        )
-        for c in range(columns.size)
-    )
+    # One record per pair, from its column of each array in FenceRecord's field order.
+    fields = (a.tolist() for a in (owners, directions, q1, q3, iqr, lower, upper))
+    hits = (tuple(np.flatnonzero(hit).tolist()) for hit in outside.T)
+    fences = tuple(map(FenceRecord, *fields, hits))
     candidates = np.unique(owners)
     return OutlierReport(
-        candidate_set=tuple(int(i) for i in candidates),
-        flagged=tuple(int(i) for i in candidates[outside[candidates].any(axis=1)]),
+        candidate_set=tuple(candidates.tolist()),
+        flagged=tuple(candidates[outside[candidates].any(axis=1)].tolist()),
         fences=fences,
         factor=float(factor),
         lambda_used=float(lam),

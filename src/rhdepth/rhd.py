@@ -8,6 +8,7 @@ in lambda.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,12 +164,12 @@ def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
     return accepted, scores[:, : dirs.truncation] @ dirs.coefficients[accepted].T
 
 
-def _lower_ranks(rows: np.ndarray, at: np.ndarray, values: np.ndarray, start: np.ndarray):
-    """np.searchsorted(rows[r], v, side="left") for each (r, v, s) in zip(at,
-    values, start), known to be at least s: one branchless binary search."""
+def _lower_ranks(rows: np.ndarray, at: np.ndarray, values: np.ndarray):
+    """np.searchsorted(rows[r], v, side="left") for each (r, v) in zip(at,
+    values): one branchless binary search of n.bit_length() steps."""
     n = rows.shape[1]
     flat, before = rows.ravel(), at * n - 1  # flat[before + i] is rows[at, i - 1]
-    ranks, step = start, 1 << (n.bit_length() - 1)
+    ranks, step = np.zeros_like(at), 1 << (n.bit_length() - 1)
     while step:
         ahead = np.minimum(ranks + step, n)
         ranks = np.where(flat[before + ahead] < values, ahead, ranks)
@@ -214,7 +215,7 @@ def _min_counts(proj_sample: np.ndarray, eval_scores, coeff: np.ndarray):
         survive = x > rows.T[np.maximum(n - 1 - bound, 0)]
         survive[bound == n] = True  # no (n+1)-th largest: every count is at most n
         points, columns = np.divmod(np.flatnonzero(survive), rows.shape[0])
-        counts = n - _lower_ranks(rows, columns, x[points, columns], n - bound[points])
+        counts = n - _lower_ranks(rows, columns, x[points, columns])
         np.minimum.at(bound, points, counts)
         keep = counts <= bound[points]
         found.append((points[keep], columns[keep] + lo, counts[keep]))
@@ -241,13 +242,14 @@ def depth_from_scores(
     min_counts, (points, columns) = _min_counts(
         projections, None if itself else eval_scores[:, :J], dirs.coefficients[accepted]
     )
-    del projections  # freed before the minimizing directions are split
+    del projections  # freed before the minimizing directions are sliced
     n = sample_scores.shape[0]
-    # Every point has at least one minimizing direction; the last piece is empty.
-    ends = np.cumsum(np.bincount(points, minlength=min_counts.size))
+    # The pairs are point-major, so each point's ties are one slice.
+    ties = accepted[columns]
+    ends = np.cumsum(np.bincount(points, minlength=min_counts.size)).tolist()
     return DepthResult(
         depths=min_counts / n,
-        minimizing_directions=tuple(np.split(accepted[columns], ends)[:-1]),
+        minimizing_directions=tuple(ties[a:b] for a, b in itertools.pairwise([0, *ends])),
         lambda_used=float(lam),
         accepted_count=int(accepted.size),
         n=n,

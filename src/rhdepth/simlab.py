@@ -218,6 +218,10 @@ class ScenarioSpec:
     J0: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
+        if self.n_inliers < 1:
+            raise ValueError(f"n_inliers must be at least 1, got {self.n_inliers}")
+        if self.p < 2:
+            raise ValueError(f"p must be at least 2, got {self.p}")
         if self.J0 < 1:
             raise ValueError(f"J0 must be at least 1, got {self.J0}")
         if self.outlier_counts.get("phase") and self.J0 < PHASE_MIN_J0:

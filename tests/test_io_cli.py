@@ -13,12 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rhdepth import generate_inliers, generate_scenario, ScenarioSpec
+from rhdepth import cli
 from rhdepth.cli import _build_parser, _resolve_threads, parse_scenario_config, run
+from rhdepth.funspace import FunctionalSample, make_uniform_grid
 from rhdepth.io import (
     _sample_from_table,
     atomic_write_text,
+    csv_text,
     read_labels,
     read_sample,
     sample_to_csv,
@@ -662,6 +666,76 @@ def test_reader_matches_float_parse_on_written_curves(tmp_path):
         back = read_sample(str(path))
         assert _same_sample(back, _reference_read(str(path)))
         assert back.values.tobytes() == sample.values.tobytes()
+
+
+@given(
+    value=st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, np.inf]),
+    )
+)
+def test_csv_text_writes_the_float_repr(value):
+    # The outputs' bytes rest on str() of a tolist() float being the
+    # shortest round-trip repr that repr(float(v)) of a NumPy float gives.
+    expected = repr(float(np.float64(value))) + "\n"
+    assert csv_text([[value]]) == csv_text([np.array([value]).tolist()]) == expected
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(2, 9)),
+        elements=st.floats(-1e150, 1e150),
+    )
+)
+def test_written_sample_reads_back_exactly(values, tmp_path):
+    sample = FunctionalSample(make_uniform_grid(values.shape[1]), values)
+    path = tmp_path / "sample.csv"
+    path.write_text(sample_to_csv(sample), encoding="utf-8")
+    back = read_sample(str(path))
+    assert np.array_equal(back.values, sample.values)
+    assert np.array_equal(back.grid.points, sample.grid.points)
+
+
+@pytest.mark.parametrize("span", [3.6e6, 1e9])
+def test_wide_grid_span_is_read(span, tmp_path, capsys):
+    # Seconds over an hour, say. The weights sum to the span only up to
+    # rounding relative to it; an absolute tolerance refused about half of
+    # these grids.
+    values = generate_inliers(12, seed=5).values.tolist()
+    path = tmp_path / "wide.csv"
+    argv = ["depth", "--input", str(path), "--J", "2", "--M", "50", "--u", "0.5", "--seed", "1"]
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        points = np.concatenate(([0.0], np.sort(rng.uniform(0, span, 48)), [span]))
+        path.write_text(csv_text([points.tolist(), *values]), encoding="utf-8")
+        sample = read_sample(str(path))
+        assert np.array_equal(sample.grid.points, points)
+        assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "line, key", [("n_inliers = 0", "n_inliers"), ("n_inliers = -3", "n_inliers"), ("p = 1", "p")]
+)
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_scenario_size_error_names_the_file(command, line, key, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"n_inliers = 10\noutliers = magnitude:5\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    if command == "simulate":
+        argv = ["simulate", "--out-sample", str(out), "--out-labels", f"{out}.lab"]
+    else:
+        argv = ["bench", "--replicates", "1", "--out", str(out)]
+        # refused before any replicate runs
+        monkeypatch.setattr(cli, "roc_table", lambda *args, **kwargs: pytest.fail("ran"))
+    assert run(argv + ["--scenario", str(cfg), "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg) in err and f"{key} must be at least" in err
+    assert not out.exists()
 
 
 # Files read_sample refuses, each with a ValueError naming the file.
