@@ -10,12 +10,13 @@ byte for byte (the wall-time field aside).
 
 Exit codes: 1 for argument/validation errors (the message names the flag)
 and for a failed allocation, 2 for rank or empty-pool errors, 0 otherwise.
-Refused values: --u or a --u-grid entry outside (0, 1); --lambda not
-positive, NaN included (inf means no regularization); --factor or a
---factor-grid entry that is not positive and finite, or that overflows a
-fence; --J, --M, --B or --replicates below 1; a negative seed; a thread
-count below 1. JSON outputs and manifests are strict JSON: an infinite
-lambda is the string "inf".
+Every flag value is checked when the arguments are parsed, before any file
+is read, as in `argument --u: must lie in (0, 1), got '2'`: a number (an
+integer for a count or the seed); --u or a --u-grid entry in (0, 1);
+--lambda positive, NaN refused (inf means no regularization); --factor or
+a --factor-grid entry positive and finite; --J, --M, --B, --replicates and
+--threads at least 1; the seed at least 0. JSON outputs and manifests are
+strict JSON: an infinite lambda is the string "inf".
 
 Scenario config files are plain key=value lines; the seed comes from
 --seed, not from the file. For example:
@@ -26,8 +27,8 @@ Scenario config files are plain key=value lines; the seed comes from
     J0 = 15
 
 Environment overrides: RHDEPTH_SEED and RHDEPTH_THREADS apply when the
-corresponding flag is not given. The thread count must be at least 1 and
-is capped at the CPU count.
+corresponding flag is not given, and are checked as that flag is. The
+thread count is capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .funspace import fit_fpca
 from .io import (
     atomic_write_text,
     csv_text,
-    eigensystem_to_json,
+    eigensystem_payload,
     labels_to_csv,
     read_sample,
     sample_to_csv,
@@ -81,34 +82,28 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _float_in(low: float, high: float, expect: str):
-    """A flag value strictly between low and high; expect says so in the error."""
+def _number(convert, test, expect: str):
+    """An argparse type: the text read by convert (int or float), kept when
+    test(value) holds; expect says what test asks, in the error."""
+    kind = "an integer" if convert is int else "a number"
 
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
+            value = convert(text)
         except ValueError:
-            value = math.nan
-        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+        if not test(value):
             raise argparse.ArgumentTypeError(f"must {expect}, got {text!r}")
         return value
 
     return parse
 
 
-def _count(text: str) -> int:
-    """An integer flag value of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
-
-
-_factor = _float_in(0, math.inf, "be positive and finite")  # a fence factor
-_quantile = _float_in(0, 1, "lie in (0, 1)")  # a quantile level
+_count = _number(int, lambda v: v >= 1, "be at least 1")
+_seed = _number(int, lambda v: v >= 0, "be at least 0")
+_quantile = _number(float, lambda v: 0 < v < 1, "lie in (0, 1)")  # a quantile level
+_lambda = _number(float, lambda v: v > 0, "be positive")  # refuses NaN; inf is allowed
+_factor = _number(float, lambda v: 0 < v < math.inf, "be positive and finite")  # a fence factor
 
 
 def _grid(parse):
@@ -123,7 +118,7 @@ def _grid(parse):
 # Every flag once, with its add_argument kwargs. Its attribute on the parsed
 # namespace, and its manifest key, is the name with '-' read as '_'.
 _FLAGS = {
-    "threads": dict(type=int, help="worker threads"),
+    "threads": dict(type=_count, help="worker threads"),
     "input": dict(required=True, help="sample CSV (grid row + curves)"),
     "eval": dict(help="evaluation-point CSV; defaults to the sample"),
     "scenario": dict(required=True, help="key=value scenario config"),
@@ -133,37 +128,34 @@ _FLAGS = {
         default=1000,
         help="random proposal directions, plus one data direction per curve (default 1000)",
     ),
-    "u": dict(type=float, help="quantile level for lambda"),
-    "lambda": dict(type=float, help="explicit lambda"),
+    "u": dict(type=_quantile, help="quantile level for lambda"),
+    "lambda": dict(type=_lambda, help="explicit lambda"),
     "factor": dict(type=_factor, help="fence factor f"),
     "calibrate": dict(action="store_true", help="calibrate f on null data"),
     "B": dict(type=_count, default=100, help="null datasets for calibration"),
     "u-grid": dict(type=_grid(_quantile), default=DEFAULT_QUANTILE_GRID, help="quantile levels"),
     "factor-grid": dict(type=_grid(_factor), default=FACTOR_GRID, help="fence factors"),
     "replicates": dict(type=_count, default=100, help="scenario replicates"),
-    "seed": dict(type=int, help="RNG seed"),
+    "seed": dict(type=_seed, help="RNG seed"),
     "out": dict(required=True, help="output path"),
     "out-sample": dict(required=True, help="output curve CSV"),
     "out-labels": dict(required=True, help="output labels CSV"),
 }
 
 
-def _int_setting(args, name: str, env: str, minimum: int, parser):
-    """The --name flag's value, else env's as an int, or None; at least minimum."""
-    value, source = getattr(args, name), f"--{name}"
+def _setting(args, name: str, env: str, parse, parser):
+    """The --name flag's value, else env's as read by parse, or None."""
+    value = getattr(args, name)
     if value is None and env in os.environ:
-        source = env
         try:
-            value = int(os.environ[env])
-        except ValueError:
-            parser.exit(1, f"rhdepth: error: {env} must be an integer\n")
-    if value is not None and value < minimum:
-        parser.exit(1, f"rhdepth: error: {source} must be at least {minimum}\n")
+            value = parse(os.environ[env])
+        except argparse.ArgumentTypeError as exc:
+            parser.exit(1, f"rhdepth: error: {env} {exc}\n")
     return value
 
 
 def _resolve_seed(args, parser) -> int:
-    seed = _int_setting(args, "seed", "RHDEPTH_SEED", 0, parser)
+    seed = _setting(args, "seed", "RHDEPTH_SEED", _seed, parser)
     if seed is None:
         parser.exit(1, "rhdepth: error: --seed is required (or set RHDEPTH_SEED)\n")
     return seed
@@ -174,7 +166,7 @@ def _resolve_threads(args, parser) -> int:
 
     Outputs do not depend on the thread count, so the cap changes none.
     """
-    threads = _int_setting(args, "threads", "RHDEPTH_THREADS", 1, parser)
+    threads = _setting(args, "threads", "RHDEPTH_THREADS", _count, parser)
     return default_threads() if threads is None else min(threads, default_threads())
 
 
@@ -182,10 +174,6 @@ def _reg_spec(args) -> RegularizationSpec:
     u, lam = args.u, vars(args)["lambda"]
     if (u is None) == (lam is None):
         raise ValueError("provide exactly one of --u and --lambda")
-    if u is not None and not 0 < u < 1:
-        raise ValueError("--u must lie in (0, 1)")
-    if lam is not None and not lam > 0:
-        raise ValueError("--lambda must be positive")
     return RegularizationSpec(lam=lam, quantile_level=u)
 
 
@@ -249,8 +237,8 @@ def _json_float(value):
 
 def _fit_pool(args):
     """Read the sample, fit FPCA, draw the direction pool and resolve lambda."""
-    sample = read_sample(args.input)
     spec = _reg_spec(args)
+    sample = read_sample(args.input)
     eig = fit_fpca(sample, args.J)
     dirs = draw_directions(eig, args.J, args.M, args.seed)
     return sample, spec, eig, dirs, resolve_lambda(spec, dirs)
@@ -259,7 +247,7 @@ def _fit_pool(args):
 def _fpca(args):
     """fit FPCA, export eigensystem JSON"""
     eig = fit_fpca(read_sample(args.input), args.J)
-    return {args.out: eigensystem_to_json(eig) + "\n"}, {}
+    return {args.out: eigensystem_payload(eig)}, {}
 
 
 def _depth(args):
@@ -318,7 +306,8 @@ def _outliers(args):
 
 def _calibrate(args):
     """calibrate the fence factor"""
-    return {args.out: _calibration(args, read_sample(args.input), _reg_spec(args))}, {}
+    spec = _reg_spec(args)
+    return {args.out: _calibration(args, read_sample(args.input), spec)}, {}
 
 
 def _simulate(args):

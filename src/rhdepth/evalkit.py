@@ -77,8 +77,8 @@ def tukey_depth_2d_exact(points, x) -> float:
     Angle sweep: the count of points in the closed halfspace with normal at
     angle phi is piecewise constant in phi, changing only where some point
     direction is orthogonal to phi; the minimum is attained on the open arcs
-    between such critical angles, evaluated here at arc midpoints via binary
-    search over the sorted point angles. O(n log n).
+    between such critical angles. Every arc midpoint is counted at once, by
+    binary search over the sorted point angles. O(n log n).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     x = np.asarray(x, dtype=float).reshape(2)
@@ -99,18 +99,17 @@ def tukey_depth_2d_exact(points, x) -> float:
     mids[-1] = np.mod(crit[-1] + (crit[0] + two_pi - crit[-1]) / 2.0, two_pi)
 
     # Point at angle a is in the halfspace of normal phi iff the circular
-    # distance between a and phi is at most pi/2.
-    best = d.shape[0]
-    for phi in mids:
-        phi = phi if phi <= np.pi else phi - two_pi  # back to [-pi, pi]
-        lo, hi = phi - np.pi / 2, phi + np.pi / 2
-        count = 0
-        for a, b in ((lo, hi), (lo + two_pi, hi + two_pi), (lo - two_pi, hi - two_pi)):
-            left = np.searchsorted(alpha, a, side="left")
-            right = np.searchsorted(alpha, b, side="right")
-            count += max(0, right - left)
-        best = min(best, count)
-    return (base + best) / n
+    # distance between a and phi is at most pi/2: a lies in [phi - pi/2,
+    # phi + pi/2] or in that window shifted by a full turn either way.
+    phi = np.where(mids <= np.pi, mids, mids - two_pi)  # back to [-pi, pi]
+    lo, hi = phi - np.pi / 2, phi + np.pi / 2
+    counts = sum(
+        np.maximum(
+            np.searchsorted(alpha, b, side="right") - np.searchsorted(alpha, a, side="left"), 0
+        )
+        for a, b in ((lo, hi), (lo + two_pi, hi + two_pi), (lo - two_pi, hi - two_pi))
+    )
+    return (base + int(counts.min())) / n
 
 
 def roc_table(

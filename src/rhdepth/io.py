@@ -119,9 +119,9 @@ def _sample_from_table(table: np.ndarray) -> FunctionalSample:
         weights = np.concatenate(([gaps[0]], gaps[:-1] + gaps[1:], [gaps[-1]])) / 2
     if not np.isfinite(span):
         raise ValueError("the grid span overflows")
-    if np.allclose(points, np.linspace(points[0], points[-1], p)) and np.isclose(
-        points[0], 0.0
-    ) and np.isclose(points[-1], 1.0):
+    # Only the exact uniform grid takes its weights: a point that merely lies
+    # close to it is kept where the file puts it.
+    if np.array_equal(points, np.linspace(0.0, 1.0, p)):
         grid = make_uniform_grid(p)
     else:
         grid = Grid(points, weights)
@@ -163,8 +163,9 @@ def read_labels(path: str) -> list:
     return labels
 
 
-def eigensystem_to_json(eig: EigenSystem) -> str:
-    payload = {
+def eigensystem_payload(eig: EigenSystem) -> dict:
+    """The eigensystem as a JSON payload for write_json."""
+    return {
         "grid_points": eig.grid.points.tolist(),
         "mean": eig.mean.tolist(),
         "eigenvalues": eig.eigenvalues.tolist(),
@@ -172,7 +173,6 @@ def eigensystem_to_json(eig: EigenSystem) -> str:
         "scores": eig.scores.tolist(),
         "usable_rank": eig.usable_rank,
     }
-    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def write_json(path: str, payload: dict) -> None:

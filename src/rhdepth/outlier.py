@@ -35,7 +35,7 @@ import numpy as np
 from ._parallel import parallel_map
 from .errors import EmptyPoolError
 from .funspace import EigenSystem, FunctionalSample, fit_fpca
-from .rhd import _COUNT_BLOCK, DirectionSet, RegularizationSpec, _accepted_projections
+from .rhd import DirectionSet, RegularizationSpec, _accepted_projections, _sorted_blocks
 from .rhd import depth_from_scores, draw_directions, resolve_lambda
 
 FACTOR_GRID = (1.5, 2.0, 2.5, 3.0, 3.5)
@@ -105,12 +105,7 @@ def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lams):
     accepted, projections = _accepted_projections(dirs, max(lams, default=np.inf), eig.scores)
     at_top = projections == projections.max(axis=0)
     runs = at_top.sum(axis=0)
-    # Sorted as contiguous rows, a block of directions at a time, so no
-    # (k, n) copy is held.
-    q1, q3 = np.hstack([
-        _sorted_quartiles(np.sort(projections[:, lo : lo + _COUNT_BLOCK].T.copy(), axis=1))
-        for lo in range(0, projections.shape[1], _COUNT_BLOCK)
-    ])
+    q1, q3 = np.hstack([_sorted_quartiles(rows) for _, rows in _sorted_blocks(projections)])
     per_lambda = []
     for lam in lams:
         kept = dirs.rkhs_norms[accepted] <= lam

@@ -150,9 +150,19 @@ def resolve_lambda(spec: RegularizationSpec, dirs: DirectionSet) -> float:
 
 
 # Directions per block of the count kernel, whose temporaries are a few
-# (q, block) and (block, n) arrays beside its records of counted pairs; the
-# fence path (outlier.py) sorts its projections in blocks of this size.
+# (q, block) and (block, n) arrays beside its records of counted pairs. The
+# kernel and the fence quartiles (outlier.py) read the same sorted blocks.
 _COUNT_BLOCK = 64
+
+
+def _sorted_blocks(projections: np.ndarray):
+    """(lo, rows) for each block of _COUNT_BLOCK columns of the (n, k)
+    projections, lo its first column: the block's columns as contiguous
+    rows, each sorted. No (k, n) copy is held."""
+    for lo in range(0, projections.shape[1], _COUNT_BLOCK):
+        rows = projections[:, lo : lo + _COUNT_BLOCK].T.copy()
+        rows.sort(axis=1)
+        yield lo, rows
 
 
 def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
@@ -203,13 +213,12 @@ def _min_counts(proj_sample: np.ndarray, eval_scores, coeff: np.ndarray):
     """
     n = proj_sample.shape[0]
     bound, found = None, []
-    for lo in range(0, coeff.shape[0], _COUNT_BLOCK):
-        block = slice(lo, lo + _COUNT_BLOCK)
+    for lo, rows in _sorted_blocks(proj_sample):
+        block = slice(lo, lo + rows.shape[0])
         # The eval product keeps the eval rows first: coeff[block] @ eval.T
         # rounds differently, and on shuffled copies of the sample it moved
         # 38 of 10000 depths off the self-depth's, against 4 this way.
         x = proj_sample[:, block] if eval_scores is None else eval_scores @ coeff[block].T
-        rows = np.sort(proj_sample[:, block].T, axis=1)
         if bound is None:
             bound = n - np.searchsorted(rows[0], x[:, 0], side="left")
         survive = x > rows.T[np.maximum(n - 1 - bound, 0)]

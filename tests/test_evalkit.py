@@ -110,6 +110,14 @@ class TestExact2dOracle:
                 exact = tukey_depth_2d_exact(pts, x)
                 brute = self._brute_force(pts, x)
                 assert exact == pytest.approx(brute, abs=1e-12)
+        # Integer points: repeated points, collinear triples, and x at a
+        # sample point or on the integer lattice among them.
+        for trial in range(40):
+            pts = rng.integers(-3, 4, (15, 2)).astype(float)
+            for x in [pts[trial % 15], rng.integers(-3, 4, 2).astype(float)]:
+                exact = tukey_depth_2d_exact(pts, x)
+                brute = self._brute_force(pts, x)
+                assert exact == pytest.approx(brute, abs=1e-12)
 
 
 def _regularized_depth_2d_exact(points, x, gamma, lam):

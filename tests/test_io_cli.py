@@ -72,6 +72,17 @@ class TestIo:
             os.umask(old)
         assert path.stat().st_mode & 0o777 == 0o644
 
+    def test_grid_point_near_uniform_is_kept(self, tmp_path):
+        # 0.300002 lies within allclose's tolerance of the uniform grid's
+        # 0.30000000000000004, yet it is where the file puts the point.
+        points = np.linspace(0.0, 1.0, 11)
+        points[3] = 0.300002
+        path = tmp_path / "moved.csv"
+        path.write_text(csv_text([points.tolist(), np.arange(11.0).tolist()]))
+        back = read_sample(str(path))
+        assert np.array_equal(back.grid.points, points)
+        assert not np.array_equal(back.grid.weights, make_uniform_grid(11).weights)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_sample(str(tmp_path / "absent.csv"))
@@ -254,7 +265,7 @@ class TestCli:
         argv += ["--out", str(tmp_path / "d.csv")]
         for threads in ("0", "-3"):
             assert run(["--threads", threads] + argv) == 1
-            assert "--threads must be at least 1" in capsys.readouterr().err
+            assert "argument --threads: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
     def test_resolve_threads(self, monkeypatch):
@@ -465,6 +476,25 @@ def test_eval_on_another_grid_names_the_file(cli_files, tmp_path, capsys):
     assert err.count("\n") == 1 and f"--eval {other}: " in err and "grid" in err
 
 
+@pytest.mark.parametrize("moved", ["input", "eval"])
+def test_eval_on_a_moved_grid_point_names_the_file(moved, tmp_path, capsys):
+    # One grid is exactly uniform, the other has one point moved by 2e-6.
+    paths = {name: tmp_path / f"{name}.csv" for name in ("input", "eval")}
+    for name, path in paths.items():
+        sample = generate_inliers(20, seed=4, p=11)
+        if name == moved:
+            points = sample.grid.points.copy()
+            points[3] = 0.300002
+            path.write_text(csv_text([points.tolist(), *sample.values.tolist()]))
+        else:
+            write_sample(str(path), sample)
+    argv = ["depth", "--input", str(paths["input"]), "--eval", str(paths["eval"])]
+    argv += ["--J", "3", "--M", "200", "--u", "0.5", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"--eval {paths['eval']}: " in err and "grid" in err
+
+
 def test_failed_allocation_exits_1(cli_files, capsys):
     # 10**15 proposals of J=6 doubles ask for 42.6 PiB, past the address
     # space, so the allocation fails at once instead of filling memory.
@@ -542,6 +572,48 @@ def test_non_finite_flag_exits_1(argv, flag, cli_files, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flag in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command", [["depth"], ["outliers", "--factor", "2"], ["calibrate"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--u", "2", "must lie in (0, 1), got '2'"),
+        ("--u", "abc", "must be a number, got 'abc'"),
+        ("--lambda", "0", "must be positive, got '0'"),
+    ],
+    ids=["u-range", "u-text", "lambda"],
+)
+def test_regularization_refused_before_the_input_is_read(
+    command, flag, value, message, tmp_path, capsys
+):
+    missing = tmp_path / "missing.csv"
+    argv = [*command, "--input", str(missing), flag, value, "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"argument {flag}: {message}" in err
+    assert "missing.csv" not in err
+
+
+@pytest.mark.parametrize(
+    "env, value, message",
+    [
+        ("RHDEPTH_SEED", "abc", "RHDEPTH_SEED must be an integer, got 'abc'"),
+        ("RHDEPTH_SEED", "-2", "RHDEPTH_SEED must be at least 0, got '-2'"),
+        ("RHDEPTH_THREADS", "0", "RHDEPTH_THREADS must be at least 1, got '0'"),
+    ],
+    ids=["seed-text", "seed-negative", "threads"],
+)
+def test_environment_value_checked_as_its_flag(env, value, message, cli_files, capsys, monkeypatch):
+    monkeypatch.delenv("RHDEPTH_THREADS", raising=False)
+    monkeypatch.setenv(env, value)
+    argv = ["depth", "--input", cli_files["s"], "--u", "0.5", "--out", cli_files["o"]]
+    assert run(argv if env == "RHDEPTH_SEED" else argv + ["--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not os.path.exists(cli_files["o"])
 
 
 @pytest.mark.parametrize("entry", ["1.5", "0", "-0.5", "nan", "0.5,1"])
@@ -817,8 +889,8 @@ def test_constant_sample_has_no_usable_variation(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["depth", "--u", "-1e-3"], "--u must lie in (0, 1)"),
-        (["depth", "--lambda", "-inf"], "--lambda must be positive"),
+        (["depth", "--u", "-1e-3"], "argument --u: must lie in (0, 1)"),
+        (["depth", "--lambda", "-inf"], "argument --lambda: must be positive"),
         (["outliers", "--u", "0.5", "--factor", "-2.5e1"], "argument --factor: must be positive"),
     ],
     ids=["u", "lambda", "factor"],
