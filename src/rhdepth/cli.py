@@ -15,8 +15,9 @@ is read, as in `argument --u: must lie in (0, 1), got '2'`: a number (an
 integer for a count or the seed); --u or a --u-grid entry in (0, 1);
 --lambda positive, NaN refused (inf means no regularization); --factor or
 a --factor-grid entry positive and finite; --J, --M, --B, --replicates and
---threads at least 1; the seed at least 0. JSON outputs and manifests are
-strict JSON: an infinite lambda is the string "inf".
+--threads at least 1; the seed at least 0; exactly one of --u and --lambda,
+and of --factor and --calibrate. JSON outputs and manifests are strict
+JSON: an infinite lambda is the string "inf".
 
 Scenario config files are plain key=value lines; the seed comes from
 --seed, not from the file. For example:
@@ -171,10 +172,7 @@ def _resolve_threads(args, parser) -> int:
 
 
 def _reg_spec(args) -> RegularizationSpec:
-    u, lam = args.u, vars(args)["lambda"]
-    if (u is None) == (lam is None):
-        raise ValueError("provide exactly one of --u and --lambda")
-    return RegularizationSpec(lam=lam, quantile_level=u)
+    return RegularizationSpec(lam=vars(args)["lambda"], quantile_level=args.u)
 
 
 def parse_scenario_config(path: str) -> ScenarioSpec:
@@ -200,6 +198,7 @@ def _config_int(key: str, text: str) -> int:
 
 def _scenario_from_lines(lines) -> ScenarioSpec:
     fields = {"n_inliers": None, "outliers": "", "p": DEFAULT_GRID_SIZE, "J0": DEFAULT_TRUNCATION}
+    seen = set()
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -212,6 +211,9 @@ def _scenario_from_lines(lines) -> ScenarioSpec:
             raise ValueError("unknown key 'seed': the seed comes from --seed")
         if key not in fields:
             raise ValueError(f"unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"key {key!r} given twice")
+        seen.add(key)
         fields[key] = value.strip()
     if fields["n_inliers"] is None:
         raise ValueError("n_inliers is required")
@@ -220,6 +222,8 @@ def _scenario_from_lines(lines) -> ScenarioSpec:
         for item in str(fields["outliers"]).split(","):
             kind, _, count = item.strip().partition(":")
             kind = kind.strip()
+            if kind in counts:
+                raise ValueError(f"outlier kind {kind!r} given twice")
             counts[kind] = _config_int(f"the count of {kind!r}", count) if count else 1
     return ScenarioSpec(
         n_inliers=_config_int("n_inliers", fields["n_inliers"]),
@@ -237,11 +241,10 @@ def _json_float(value):
 
 def _fit_pool(args):
     """Read the sample, fit FPCA, draw the direction pool and resolve lambda."""
-    spec = _reg_spec(args)
     sample = read_sample(args.input)
     eig = fit_fpca(sample, args.J)
     dirs = draw_directions(eig, args.J, args.M, args.seed)
-    return sample, spec, eig, dirs, resolve_lambda(spec, dirs)
+    return sample, eig, dirs, resolve_lambda(_reg_spec(args), dirs)
 
 
 def _fpca(args):
@@ -252,7 +255,7 @@ def _fpca(args):
 
 def _depth(args):
     """depths and normalized ranks of evaluation curves (default: the sample)"""
-    sample, _, eig, dirs, lam = _fit_pool(args)
+    sample, eig, dirs, lam = _fit_pool(args)
     evaluation = read_sample(args.eval) if args.eval else sample
     try:
         result = approximate_rhd(eig, dirs, lam, evaluation)
@@ -267,20 +270,16 @@ def _depth(args):
     return {args.out: csv_text([header, *rows])}, {"lambda_used": lam}
 
 
-def _calibration(args, sample, spec) -> dict:
+def _calibration(args, eig) -> dict:
     """Calibrate the fence factor on null data; the result as a JSON payload."""
-    calib = calibrate_factor(
-        sample, args.J, args.M, spec, args.B, args.seed, threads=args.threads
-    )
+    calib = calibrate_factor(eig, args.M, _reg_spec(args), args.B, args.seed, threads=args.threads)
     return dataclasses.asdict(calib)
 
 
 def _outliers(args):
     """flag outliers in the sample"""
-    if args.factor is None and not args.calibrate:
-        raise ValueError("provide --factor or --calibrate")
-    sample, spec, eig, dirs, lam = _fit_pool(args)
-    calib = _calibration(args, sample, spec) if args.calibrate else None
+    _, eig, dirs, lam = _fit_pool(args)
+    calib = _calibration(args, eig) if args.calibrate else None
     factor = calib["factor"] if calib else args.factor
     report = detect_outliers(eig, dirs, lam, factor)
     payload = {
@@ -306,8 +305,7 @@ def _outliers(args):
 
 def _calibrate(args):
     """calibrate the fence factor"""
-    spec = _reg_spec(args)
-    return {args.out: _calibration(args, read_sample(args.input), spec)}, {}
+    return {args.out: _calibration(args, fit_fpca(read_sample(args.input), args.J))}, {}
 
 
 def _simulate(args):
@@ -352,6 +350,8 @@ class _Command:
 
 _POOL_FLAGS = ("input", "J", "M", "u", "lambda")
 
+_EITHER_OR = (("u", "lambda"), ("factor", "calibrate"))  # a command taking a pair needs one
+
 _COMMANDS = {
     "fpca": _Command(_fpca, ("input", "J"), ("out",)),
     "depth": _Command(_depth, ("input", "eval", "J", "M", "u", "lambda"), aliases=("rank",)),
@@ -369,8 +369,13 @@ def _build_parser() -> _Parser:
     for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name, aliases=cmd.aliases, help=cmd.pipeline.__doc__)
         p.set_defaults(command=name)  # an alias runs, and records, its command
-        for flag in cmd.recorded + cmd.unrecorded:
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        flags = cmd.recorded + cmd.unrecorded
+        groups = {}
+        for pair in _EITHER_OR:
+            if pair[0] in flags:
+                groups |= dict.fromkeys(pair, p.add_mutually_exclusive_group(required=True))
+        for flag in flags:
+            groups.get(flag, p).add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 

@@ -14,7 +14,8 @@ rises, so its smallest is the tie run at the top. The candidates are the
 curves on top of the directions with the shortest run, and those are
 their minimizing directions. Q1 and Q3 serve every factor, and only the
 candidates are tested. `detect_outliers` and `flag_sweep` share this
-fence path; `detect_outliers` runs the count kernel once, for the depths.
+fence path; `detect_outliers` runs the count kernel's self pass (its
+defaults) once, on the fence path's product, for the depths.
 
 `flag_sweep` is the replicate step of both simulation studies (a
 calibration null dataset, a ROC replicate in `evalkit.roc_table`): fit,
@@ -34,9 +35,9 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .errors import EmptyPoolError
-from .funspace import EigenSystem, FunctionalSample, fit_fpca
-from .rhd import DirectionSet, RegularizationSpec, _accepted_projections, _sorted_blocks
-from .rhd import depth_from_scores, draw_directions, resolve_lambda
+from .funspace import EigenSystem, FunctionalSample, _frozen_array, fit_fpca
+from .rhd import DirectionSet, RegularizationSpec, _accepted_projections, _min_counts
+from .rhd import _sorted_blocks, draw_directions, resolve_lambda
 
 FACTOR_GRID = (1.5, 2.0, 2.5, 3.0, 3.5)
 TARGET_RATE = 0.007
@@ -158,9 +159,8 @@ def detect_outliers(
     if not 0 < factor < np.inf:
         raise ValueError("factor must be positive and finite")
     _require_fence_sample(eig.scores.shape[0])
-    # Before the fences: the count kernel's arrays are freed when it returns.
-    depths = depth_from_scores(dirs, lam, eig.scores, eig.scores).depths
     projections, [(owners, columns, directions, (q1, q3))] = _candidate_fences(eig, dirs, [lam])
+    depths = _frozen_array(_min_counts(projections)[0] / projections.shape[0])
     iqr, lower, upper = _fences(q1, q3, factor)
     pairs = projections[:, columns]
     outside = (pairs < lower) | (pairs > upper)
@@ -180,46 +180,39 @@ def detect_outliers(
 
 
 def calibrate_factor(
-    sample: FunctionalSample,
-    J: int,
-    M: int,
-    spec: RegularizationSpec,
-    B: int,
-    seed: int,
-    grid_factors=FACTOR_GRID,
-    target: float = TARGET_RATE,
-    threads: int = 1,
+    eig: EigenSystem, M: int, spec: RegularizationSpec, B: int, seed: int, threads: int = 1
 ) -> CalibrationResult:
-    """Pick the fence factor whose mean null flag rate is closest to target.
+    """Pick the factor of FACTOR_GRID whose mean null flag rate is closest to TARGET_RATE.
 
-    Null datasets are truncated-KL Gaussian draws from the input's fitted
-    mean and top-J eigenpairs. Per-dataset seeds derive from a spawned
-    SeedSequence of `seed`, so results are reproducible and thread-count
-    independent. Ties in the rate criterion break toward the larger factor.
+    Null datasets are n Gaussian curves on the fitted sample's grid, drawn
+    from its mean and its J = eig.truncation eigenpairs (truncated KL).
+    Per-dataset seeds derive from a spawned SeedSequence of `seed`, so
+    results are reproducible and thread-count independent. Ties in the rate
+    criterion break toward the larger factor.
     """
     if B < 1:
         raise ValueError("B must be at least 1")
-    _require_fence_sample(sample.n)
-    eig = fit_fpca(sample, J)
+    n, J = eig.scores.shape[0], eig.truncation
+    _require_fence_sample(n)
     scale = np.sqrt(eig.eigenvalues)
 
     def null_flag_rates(child):
         """Flagged proportion per factor on one null dataset: z, then the pool."""
         rng = np.random.default_rng(child)
-        z = rng.standard_normal((sample.n, len(scale)))
-        null = FunctionalSample(sample.grid, eig.mean + (z * scale) @ eig.eigenfunctions)
-        (flagged,) = flag_sweep(null, J, M, rng, (spec,), grid_factors)
-        return [len(f) / sample.n for f in flagged]
+        z = rng.standard_normal((n, J))
+        null = FunctionalSample(eig.grid, eig.mean + (z * scale) @ eig.eigenfunctions)
+        (flagged,) = flag_sweep(null, J, M, rng, (spec,), FACTOR_GRID)
+        return [len(f) / n for f in flagged]
 
     per_dataset = parallel_map(null_flag_rates, np.random.SeedSequence(seed).spawn(B), threads)
     mean_rates = np.mean(per_dataset, axis=0)
-    deviations = np.abs(mean_rates - target)
+    deviations = np.abs(mean_rates - TARGET_RATE)
     # argmin with ties toward the larger factor
-    best = len(grid_factors) - 1 - int(np.argmin(deviations[::-1]))
+    best = len(FACTOR_GRID) - 1 - int(np.argmin(deviations[::-1]))
     return CalibrationResult(
-        factor=float(grid_factors[best]),
+        factor=float(FACTOR_GRID[best]),
         achieved_rate=float(mean_rates[best]),
-        grid_tried=tuple(grid_factors),
+        grid_tried=FACTOR_GRID,
         B=B,
-        rates={float(f): float(r) for f, r in zip(grid_factors, mean_rates)},
+        rates={float(f): float(r) for f, r in zip(FACTOR_GRID, mean_rates)},
     )

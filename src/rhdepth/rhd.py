@@ -187,11 +187,11 @@ def _lower_ranks(rows: np.ndarray, at: np.ndarray, values: np.ndarray):
     return ranks
 
 
-def _min_counts(proj_sample: np.ndarray, eval_scores, coeff: np.ndarray):
+def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None):
     """Halfspace counts minimized over directions.
 
     count[m, j] = #{i : S_i·a_m >= x_j·a_m}, with S_i·a_m = proj_sample[i, m],
-    x_j the evaluation scores (the sample itself when eval_scores is None)
+    x_j the evaluation scores (the sample itself in the self pass, the defaults)
     and a_m the rows of coeff: n less the lower-bound rank of x_j·a_m among
     the sample projections. A running bound per point starts at its count
     along the first direction. Directions go in blocks of _COUNT_BLOCK with

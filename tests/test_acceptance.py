@@ -271,7 +271,7 @@ def test_criterion_6_detection_study(single_outlier_study):
 def test_criterion_7_fence_factor_calibration():
     spec95 = RegularizationSpec.from_quantile(0.95)
     sample = generate_inliers(400, seed=711, gaussian=True)
-    calib = calibrate_factor(sample, J=6, M=1000, spec=spec95, B=50, seed=712)
+    calib = calibrate_factor(fit_fpca(sample, 6), M=1000, spec=spec95, B=50, seed=712)
 
     # achieved rate on 50 fresh null datasets
     rng = np.random.default_rng(713)
@@ -300,10 +300,10 @@ def test_criterion_7_fence_factor_calibration():
             )
         contaminated = FunctionalSample(clean.grid, values)
         f_clean = calibrate_factor(
-            clean, J=6, M=1000, spec=spec95, B=10, seed=40_000 + trial
+            fit_fpca(clean, 6), M=1000, spec=spec95, B=10, seed=40_000 + trial
         ).factor
         f_contam = calibrate_factor(
-            contaminated, J=6, M=1000, spec=spec95, B=10, seed=40_000 + trial
+            fit_fpca(contaminated, 6), M=1000, spec=spec95, B=10, seed=40_000 + trial
         ).factor
         moves.append(abs(FACTOR_GRID.index(f_clean) - FACTOR_GRID.index(f_contam)))
     stable = float(np.mean([m <= 1 for m in moves]))

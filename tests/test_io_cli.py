@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from rhdepth import generate_inliers, generate_scenario, ScenarioSpec
 from rhdepth import cli
 from rhdepth.cli import _build_parser, _resolve_threads, parse_scenario_config, run
-from rhdepth.funspace import FunctionalSample, make_uniform_grid
+from rhdepth.funspace import FunctionalSample, fit_fpca, make_uniform_grid
 from rhdepth.io import (
     _sample_from_table,
     atomic_write_text,
@@ -134,6 +134,25 @@ class TestScenarioConfig:
         cfg.write_text("p = 50\n")
         with pytest.raises(ValueError):
             parse_scenario_config(str(cfg))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n_inliers = 50\nn_inliers = 70\n", "key 'n_inliers' given twice"),
+            ("n_inliers = 5\noutliers = magnitude:1, magnitude:3\n", "kind 'magnitude' given twice"),
+        ],
+        ids=["key", "kind"],
+    )
+    def test_repeated_entry_refused(self, text, message, tmp_path, capsys):
+        # Neither the last value nor the sum: the run stops and names the file.
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--scenario", str(cfg), "--seed", "1", "--out-sample", str(out)]
+        assert run(argv + ["--out-labels", f"{out}.lab"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(cfg) in err and message in err
+        assert not out.exists()
 
 
 class TestCli:
@@ -597,6 +616,57 @@ def test_regularization_refused_before_the_input_is_read(
     assert "missing.csv" not in err
 
 
+_NOT_ALLOWED = "argument {}: not allowed with argument {}"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--u", "0.5", "--lambda", "inf", "--factor", "2"], _NOT_ALLOWED.format("--lambda", "--u")),
+        (
+            ["--u", "0.5", "--factor", "1.5", "--calibrate"],
+            _NOT_ALLOWED.format("--calibrate", "--factor"),
+        ),
+        (["--factor", "2"], "one of the arguments --u --lambda is required"),
+        (["--u", "0.5"], "one of the arguments --factor --calibrate is required"),
+    ],
+    ids=["u-and-lambda", "factor-and-calibrate", "no-regularization", "no-factor"],
+)
+def test_either_or_flags_refused_at_parse_time(flags, message, tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    argv = ["outliers", "--input", str(missing), *flags, "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert "missing.csv" not in err
+
+
+def test_either_or_conflict_reported_without_input(tmp_path, capsys):
+    # A conflict is found as the flags are read, before argparse lists the
+    # missing required ones.
+    argv = ["outliers", "--u", "0.5", "--factor", "1.5", "--calibrate", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and _NOT_ALLOWED.format("--calibrate", "--factor") in err
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_outliers_calibrate_fits_the_sample_once(B, cli_files, monkeypatch):
+    """One fit of the input serves the pool and the calibration; each null
+    dataset adds one."""
+    fitted = []
+
+    def counted(sample, J):
+        fitted.append(sample.n)
+        return fit_fpca(sample, J)
+
+    monkeypatch.setattr("rhdepth.cli.fit_fpca", counted)
+    monkeypatch.setattr("rhdepth.outlier.fit_fpca", counted)
+    argv = ["outliers", "--input", cli_files["s"], "--J", "3", "--M", "200", "--u", "0.95"]
+    assert run(argv + ["--calibrate", "--B", str(B), "--seed", "5", "--out", cli_files["o"]]) == 0
+    assert len(fitted) == 1 + B
+
+
 @pytest.mark.parametrize(
     "env, value, message",
     [
@@ -796,7 +866,9 @@ def test_wide_grid_span_is_read(span, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "bench"])
 def test_scenario_size_error_names_the_file(command, line, key, tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(f"n_inliers = 10\noutliers = magnitude:5\n{line}\n", encoding="utf-8")
+    # The line replaces the valid one of its key: a key may appear once.
+    lines = {"n_inliers": "n_inliers = 10", "outliers": "outliers = magnitude:5", key: line}
+    cfg.write_text("\n".join(lines.values()) + "\n", encoding="utf-8")
     out = tmp_path / "out.csv"
     if command == "simulate":
         argv = ["simulate", "--out-sample", str(out), "--out-labels", f"{out}.lab"]

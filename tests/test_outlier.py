@@ -147,8 +147,7 @@ class TestCalibrate:
     def test_returns_grid_factor_and_rates(self):
         s = generate_inliers(100, seed=120, gaussian=True)
         calib = calibrate_factor(
-            s,
-            J=4,
+            fit_fpca(s, 4),
             M=300,
             spec=RegularizationSpec.from_quantile(0.95),
             B=5,
@@ -163,8 +162,7 @@ class TestCalibrate:
     def test_rates_nonincreasing_in_factor(self):
         s = generate_inliers(100, seed=122, gaussian=True)
         calib = calibrate_factor(
-            s,
-            J=4,
+            fit_fpca(s, 4),
             M=300,
             spec=RegularizationSpec.from_quantile(0.95),
             B=5,
@@ -181,15 +179,13 @@ class TestCalibrate:
         monkeypatch.setattr("rhdepth.outlier.flag_sweep", refuse)
         spec = RegularizationSpec.from_quantile(0.5)
         with pytest.raises(ValueError, match="at least 4 curves"):
-            calibrate_factor(generate_inliers(3, seed=0), 2, 50, spec, B=10, seed=1)
+            calibrate_factor(fit_fpca(generate_inliers(3, seed=0), 2), 50, spec, B=10, seed=1)
 
     def test_thread_count_does_not_change_result(self):
-        s = generate_inliers(100, seed=124, gaussian=True)
-        kwargs = dict(
-            J=4, M=300, spec=RegularizationSpec.from_quantile(0.95), B=6, seed=125
-        )
-        serial = calibrate_factor(s, threads=1, **kwargs)
-        threaded = calibrate_factor(s, threads=4, **kwargs)
+        eig = fit_fpca(generate_inliers(100, seed=124, gaussian=True), 4)
+        kwargs = dict(M=300, spec=RegularizationSpec.from_quantile(0.95), B=6, seed=125)
+        serial = calibrate_factor(eig, threads=1, **kwargs)
+        threaded = calibrate_factor(eig, threads=4, **kwargs)
         assert serial.factor == threaded.factor
         assert serial.rates == threaded.rates
 
@@ -227,7 +223,7 @@ class TestBatchedFencesMatchPerPairReference:
             sample = _contaminated(150, seed)
             for u in (0.5, 0.95):
                 spec = RegularizationSpec.from_quantile(u)
-                calib = calibrate_factor(sample, J, M, spec, B, seed, threads=1)
+                calib = calibrate_factor(fit_fpca(sample, J), M, spec, B, seed, threads=1)
                 # The null datasets of calibrate_factor, drawn the same way.
                 eig = fit_fpca(sample, J)
                 per_dataset = []
@@ -256,7 +252,8 @@ def _sweep_pool(sample, J, M, seed):
 
 def test_fence_path_makes_no_count_kernel_call(monkeypatch):
     """Candidates and fences come from the top of each direction; only the
-    per-curve depths of detect_outliers need the count kernel."""
+    per-curve depths of detect_outliers need the count kernel. It is patched
+    under both names: outlier imports it from rhd."""
     sample = _contaminated(80, 300)
     eig, dirs = _sweep_pool(sample, 4, 300, 302)
     spec = RegularizationSpec.from_quantile(0.9)
@@ -267,6 +264,7 @@ def test_fence_path_makes_no_count_kernel_call(monkeypatch):
         raise AssertionError("the count kernel ran")
 
     monkeypatch.setattr("rhdepth.rhd._min_counts", refuse)
+    monkeypatch.setattr("rhdepth.outlier._min_counts", refuse)
     with pytest.raises(AssertionError, match="count kernel"):
         depth_from_scores(dirs, lam, eig.scores, eig.scores)
     rng = np.random.default_rng(302)
@@ -322,3 +320,22 @@ def test_sweep_projects_once_for_all_lambdas(monkeypatch):
     rng = np.random.default_rng(306)
     sweep = flag_sweep(_contaminated(60, 305), 4, 200, rng, specs, FACTOR_GRID)
     assert len(sweep) == 4 and len(calls) == 1
+
+
+def test_detect_outliers_projects_once(monkeypatch):
+    """The depths and the fences of detect_outliers read one projection
+    product, and the depths are those of depth_from_scores."""
+    eig, dirs, lam = _fitted(_contaminated(60, 307), J=4, M=200, seed=308)
+    expected = depth_from_scores(dirs, lam, eig.scores, eig.scores).depths
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = rhd._accepted_projections
+    monkeypatch.setattr("rhdepth.rhd._accepted_projections", counted)
+    monkeypatch.setattr("rhdepth.outlier._accepted_projections", counted)
+    report = detect_outliers(eig, dirs, lam, 3.0)
+    assert len(calls) == 1
+    assert np.array_equal(report.depths, expected) and not report.depths.flags.writeable
