@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -362,6 +363,9 @@ _COMMANDS = {
 }
 
 
+# Built once per process: parse_args keeps no state between calls, and every
+# default in _FLAGS is static.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rhdepth")
     parser.add_argument("--threads", **_FLAGS["threads"])

@@ -29,6 +29,7 @@ empirical mean and covariance, targeting a 0.7% flagged proportion.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,22 +98,38 @@ def _sorted_quartiles(rows: np.ndarray):
     return quartiles
 
 
+def _column_tops(_, rows, tops):
+    """Q1, Q3, the top value, the first row at the top and whether the top
+    is tied, per column of one sorted block. The top value is a copy: a view
+    would keep the whole block."""
+    return (*_sorted_quartiles(rows), rows[:, -1].copy(), tops, rows[:, -2] == rows[:, -1])
+
+
 def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lams):
     """The sample projections on the directions accepted at the largest
     lambda (n, k) and, per lambda, its (candidate, minimizing direction)
     pairs, candidates ascending and then directions ascending: candidates,
     columns (each a direction whose norm that lambda accepts), pool
-    directions, and (Q1, Q3) of those columns."""
+    directions, and (Q1, Q3) of those columns. All come from the sorted
+    blocks; only a tied column's top run is counted, on that column alone."""
     accepted, projections = _accepted_projections(dirs, max(lams, default=np.inf), eig.scores)
-    at_top = projections == projections.max(axis=0)
-    runs = at_top.sum(axis=0)
-    q1, q3 = np.hstack([_sorted_quartiles(rows) for _, rows in _sorted_blocks(projections)])
+    per_block = itertools.starmap(_column_tops, _sorted_blocks(projections))
+    q1, q3, top, tops, tied = map(np.hstack, zip(*per_block))
+    runs = np.ones(top.size, dtype=np.intp)
+    runs[tied] = (projections[:, tied] == top[tied]).sum(axis=0)
     per_lambda = []
     for lam in lams:
         kept = dirs.rkhs_norms[accepted] <= lam
         if not kept.any():
             raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
-        owners, columns = np.nonzero(at_top & (kept & (runs == runs[kept].min())))
+        columns = np.flatnonzero(kept & (runs == runs[kept].min()))
+        if runs[columns[0]] == 1:
+            owners = tops[columns]
+        else:
+            owners, at = np.nonzero(projections[:, columns] == top[columns])
+            columns = columns[at]
+        order = np.argsort(owners, kind="stable")  # point-major, columns ascending
+        owners, columns = owners[order], columns[order]
         per_lambda.append((owners, columns, accepted[columns], (q1[columns], q3[columns])))
     return projections, per_lambda
 
@@ -164,9 +181,14 @@ def detect_outliers(
     iqr, lower, upper = _fences(q1, q3, factor)
     pairs = projections[:, columns]
     outside = (pairs < lower) | (pairs > upper)
+    del pairs, projections  # freed before the records are built
     # One record per pair, from its column of each array in FenceRecord's field order.
     fields = (a.tolist() for a in (owners, directions, q1, q3, iqr, lower, upper))
-    hits = (tuple(np.flatnonzero(hit).tolist()) for hit in outside.T)
+    # The curves outside each pair's fence, from one nonzero grouped by pair.
+    curves, pair = np.nonzero(outside)
+    curves = curves[np.argsort(pair, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(pair, minlength=columns.size)).tolist()
+    hits = (tuple(curves[a:b]) for a, b in itertools.pairwise([0, *ends]))
     fences = tuple(map(FenceRecord, *fields, hits))
     candidates = np.unique(owners)
     return OutlierReport(

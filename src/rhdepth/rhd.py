@@ -149,20 +149,27 @@ def resolve_lambda(spec: RegularizationSpec, dirs: DirectionSet) -> float:
     return float(np.sort(dirs.rkhs_norms[:m])[k - 1])
 
 
-# Directions per block of the count kernel, whose temporaries are a few
+# Directions per full block of the count kernel, whose temporaries are a few
 # (q, block) and (block, n) arrays beside its records of counted pairs. The
-# kernel and the fence quartiles (outlier.py) read the same sorted blocks.
+# blocks before it hold 1, 2, 4, ... directions, so the kernel's bound is
+# tight before the wide blocks run. The kernel and the fences (outlier.py)
+# read the same sorted blocks.
 _COUNT_BLOCK = 64
 
 
 def _sorted_blocks(projections: np.ndarray):
-    """(lo, rows) for each block of _COUNT_BLOCK columns of the (n, k)
-    projections, lo its first column: the block's columns as contiguous
-    rows, each sorted. No (k, n) copy is held."""
-    for lo in range(0, projections.shape[1], _COUNT_BLOCK):
-        rows = projections[:, lo : lo + _COUNT_BLOCK].T.copy()
+    """(lo, rows, tops) for each block of columns of the (n, k) projections,
+    of 1, 2, 4, ... and then _COUNT_BLOCK columns: lo is the block's first
+    column, rows its columns as contiguous rows, each sorted, and tops each
+    column's first largest row. No (k, n) copy is held."""
+    lo, width = 0, 1
+    while lo < projections.shape[1]:
+        rows = projections[:, lo : lo + width].T.copy()
+        tops = rows.argmax(axis=1)
         rows.sort(axis=1)
-        yield lo, rows
+        yield lo, rows, tops
+        del rows  # a consumer that lets go of a block frees it before the next copy
+        lo, width = lo + width, min(2 * width, _COUNT_BLOCK)
 
 
 def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
@@ -193,11 +200,12 @@ def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None):
     count[m, j] = #{i : S_i·a_m >= x_j·a_m}, with S_i·a_m = proj_sample[i, m],
     x_j the evaluation scores (the sample itself in the self pass, the defaults)
     and a_m the rows of coeff: n less the lower-bound rank of x_j·a_m among
-    the sample projections. A running bound per point starts at its count
-    along the first direction. Directions go in blocks of _COUNT_BLOCK with
-    the sample projections sorted once per block: count <= bound exactly
-    when x·a exceeds the (bound+1)-th largest of them, so one gather and one
-    compare pick out the pairs that can still reach a point's minimum. Only
+    the sample projections. A running bound per point starts at n, and the
+    first block, one direction, counts every point. Directions go in blocks
+    that double up to _COUNT_BLOCK, with the sample projections sorted once
+    per block: count <= bound exactly when x·a exceeds the (bound+1)-th
+    largest of them, so one gather and one compare pick out the pairs that
+    can still reach a point's minimum. Only
     these are counted, and they lower the bound. A pair that attains the
     minimum is at or below the bound whenever its block runs, so the result
     is exact whatever the order of the directions.
@@ -212,15 +220,14 @@ def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None):
     point-major with columns ascending.
     """
     n = proj_sample.shape[0]
-    bound, found = None, []
-    for lo, rows in _sorted_blocks(proj_sample):
+    bound = np.full(n if eval_scores is None else eval_scores.shape[0], n)
+    found = []
+    for lo, rows, _ in _sorted_blocks(proj_sample):
         block = slice(lo, lo + rows.shape[0])
         # The eval product keeps the eval rows first: coeff[block] @ eval.T
         # rounds differently, and on shuffled copies of the sample it moved
         # 38 of 10000 depths off the self-depth's, against 4 this way.
         x = proj_sample[:, block] if eval_scores is None else eval_scores @ coeff[block].T
-        if bound is None:
-            bound = n - np.searchsorted(rows[0], x[:, 0], side="left")
         survive = x > rows.T[np.maximum(n - 1 - bound, 0)]
         survive[bound == n] = True  # no (n+1)-th largest: every count is at most n
         points, columns = np.divmod(np.flatnonzero(survive), rows.shape[0])

@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1164,3 +1166,45 @@ def test_fuzzed_scenario_file(data, tmp_path):
     else:
         assert code == 1 and err.count("\n") == 1
         assert not out.exists()
+
+
+def _manifest_without_time(path):
+    with open(path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    del manifest["wall_time_seconds"]
+    return manifest
+
+
+def test_one_parser_serves_every_run_of_a_process(cli_files, tmp_path, capsys, monkeypatch):
+    """The parser is built once per process. A refused argv, then simulate,
+    then outliers, run one after another in this process, write the bytes
+    that a fresh process per command writes, and --help still exits 0."""
+    assert _build_parser() is _build_parser()
+    argvs = [
+        ["depth", "--input", cli_files["s"], "--u", "1.5", "--seed", "1", "--out", "d.csv"],
+        ["simulate", "--scenario", cli_files["c"], "--seed", "9"]
+        + ["--out-sample", "s.csv", "--out-labels", "l.csv"],
+        ["outliers", "--input", "s.csv", "--J", "3", "--M", "200", "--u", "0.95"]
+        + ["--factor", "3.0", "--seed", "5", "--out", "o.json"],
+    ]
+    codes = [1, 0, 0]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    assert [run(argv) for argv in argvs] == codes
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv, code in zip(argvs, codes):
+        command = [sys.executable, "-m", "rhdepth.cli", *argv]
+        done = subprocess.run(command, cwd=fresh, env=env, capture_output=True)
+        assert done.returncode == code
+    for name in ("s.csv", "l.csv", "o.json"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
+    for name in ("s.csv", "o.json"):
+        manifest = f"{name}.manifest.json"
+        assert _manifest_without_time(here / manifest) == _manifest_without_time(fresh / manifest)
+    assert not (here / "d.csv").exists() and not (fresh / "d.csv").exists()
+    capsys.readouterr()
+    assert run(["--help"]) == 0
+    assert run(["outliers", "--help"]) == 0
+    assert "--calibrate" in capsys.readouterr().out

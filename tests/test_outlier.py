@@ -1,26 +1,32 @@
 """Boxplot-fence outlier detection and fence-factor calibration."""
 
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rhdepth import (
     FACTOR_GRID,
+    OUTLIER_KINDS,
+    DirectionSet,
     FunctionalSample,
     RankError,
     RegularizationSpec,
+    ScenarioSpec,
     calibrate_factor,
     detect_outliers,
     draw_directions,
     fit_fpca,
     generate_inliers,
+    generate_scenario,
     make_uniform_grid,
     resolve_lambda,
 )
 from rhdepth import rhd
 from rhdepth.errors import EmptyPoolError
-from rhdepth.outlier import FenceRecord, flag_sweep
+from rhdepth.outlier import FenceRecord, _candidate_fences, _sorted_quartiles, flag_sweep
 from rhdepth.rhd import depth_from_scores
 
 
@@ -339,3 +345,109 @@ def test_detect_outliers_projects_once(monkeypatch):
     report = detect_outliers(eig, dirs, lam, 3.0)
     assert len(calls) == 1
     assert np.array_equal(report.depths, expected) and not report.depths.flags.writeable
+
+
+def _reference_candidate_fences(eig, dirs, lams):
+    """_candidate_fences in its earlier form: an (n, k) mask of each
+    column's top, its column sums for the top runs, one np.nonzero over the
+    mask per lambda, and the quartiles of a full sort."""
+    accepted, projections = rhd._accepted_projections(dirs, max(lams), eig.scores)
+    at_top = projections == projections.max(axis=0)
+    runs = at_top.sum(axis=0)
+    q1, q3 = _sorted_quartiles(np.sort(projections.T, axis=1))
+    per_lambda = []
+    for lam in lams:
+        kept = dirs.rkhs_norms[accepted] <= lam
+        owners, columns = np.nonzero(at_top & (kept & (runs == runs[kept].min())))
+        per_lambda.append((owners, columns, accepted[columns], (q1[columns], q3[columns])))
+    return projections, per_lambda
+
+
+def _assert_fences_match_reference(eig, dirs, lams):
+    """Every array _candidate_fences returns equals the reference's; returns
+    whether some lambda's shortest top run is above 1."""
+    projections, per_lambda = _candidate_fences(eig, dirs, lams)
+    ref_projections, ref_per_lambda = _reference_candidate_fences(eig, dirs, lams)
+    assert np.array_equal(projections, ref_projections)
+    assert len(per_lambda) == len(ref_per_lambda) == len(lams)
+    tied = False
+    for got, ref in zip(per_lambda, ref_per_lambda):
+        owners, columns, directions, (q1, q3) = got
+        for a, b in zip((owners, columns, directions, q1, q3), (*ref[:3], *ref[3])):
+            assert np.array_equal(a, b)
+        tied = tied or columns.size > np.unique(columns).size
+    return tied
+
+
+class TestCandidateFencesMatchMaskReference:
+    """Tops, runs, owners and quartiles read off the sorted blocks equal
+    those of the (n, k) top mask."""
+
+    U_GRID = (0.5, 0.7, 0.9, 0.95)
+
+    @pytest.mark.parametrize("rep", range(3))
+    def test_paper_case(self, rep):
+        kind = OUTLIER_KINDS[rep % len(OUTLIER_KINDS)]
+        spec = ScenarioSpec(n_inliers=400, outlier_counts={kind: 1}, seed=1_000_000 + rep)
+        eig, dirs, lam = _fitted(generate_scenario(spec)[0], u=0.95, seed=2_000_000 + rep)
+        _assert_fences_match_reference(eig, dirs, [lam])
+
+    @pytest.mark.parametrize("rep", range(3))
+    def test_criterion_6_grid(self, rep):
+        counts = {"magnitude": 1, "jump": 1, "wiggle": 1, "linear": 1}
+        spec = ScenarioSpec(n_inliers=200, outlier_counts=counts, seed=3_000_000 + rep)
+        eig = fit_fpca(generate_scenario(spec)[0], 6)
+        dirs = draw_directions(eig, 6, 1000, seed=4_000_000 + rep)
+        lams = [resolve_lambda(RegularizationSpec.from_quantile(u), dirs) for u in self.U_GRID]
+        _assert_fences_match_reference(eig, dirs, lams)
+
+    def test_tied_tops(self):
+        tied = []
+        for seed in TestBatchedFencesMatchPerPairReference.SEEDS:
+            half = _contaminated(75, seed)
+            doubled = FunctionalSample(half.grid, np.vstack([half.values, half.values]))
+            sample = _contaminated(150, seed)
+            steps = np.round(sample.values / sample.values.std(axis=0))
+            integer = FunctionalSample(sample.grid, steps)
+            for data in (doubled, integer):
+                eig, dirs = _sweep_pool(data, 6, 500, seed)
+                specs = [RegularizationSpec.from_quantile(u) for u in self.U_GRID]
+                lams = [resolve_lambda(spec, dirs) for spec in specs]
+                tied.append(_assert_fences_match_reference(eig, dirs, [*lams, np.inf]))
+        # every doubled sample has a shortest top run of 2 at every lambda
+        assert all(tied[::2])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 63, 64, 127, 128])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_block_edges(self, k, integer):
+        # k pool directions, all accepted at lambda = inf; a permuted norm
+        # order makes the smaller lambdas keep scattered columns
+        rng = np.random.default_rng(k)
+        eig = fit_fpca(_contaminated(40, k), 3)
+        coeff = rng.standard_normal((k, 3))
+        if integer:
+            # integer scores and directions: exact, often tied projections
+            scores = np.round(eig.scores / eig.scores.std(axis=0))
+            eig = dataclasses.replace(eig, scores=scores)
+            coeff = rng.integers(-2, 3, size=(k, 3)).astype(float)
+            coeff[~coeff.any(axis=1)] = 1.0
+        dirs = DirectionSet(3, coeff, rng.permutation(k) + 1.0, seed=0)
+        _assert_fences_match_reference(eig, dirs, [np.inf, k / 2 + 0.5, 1.0])
+
+    def test_holds_no_sorted_block_past_its_turn(self):
+        # the paper case at u = 0.95: 401 curves, about 950 accepted
+        # directions. The fences keep per-column values only, so beside the
+        # product less than two blocks are alive at once; a top value kept
+        # as a view of its block would keep every block.
+        spec = ScenarioSpec(n_inliers=400, outlier_counts={"magnitude": 1}, seed=5)
+        eig, dirs, lam = _fitted(generate_scenario(spec)[0], u=0.95, seed=6)
+        n, k = eig.scores.shape[0], dirs.accepted(lam).size
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            _candidate_fences(eig, dirs, [lam])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = n * rhd._COUNT_BLOCK * np.dtype(float).itemsize
+        assert peak - held - n * k * np.dtype(float).itemsize < 2 * block

@@ -21,7 +21,7 @@ from rhdepth import (
 from rhdepth.funspace import fit_fpca
 from rhdepth.outlier import _sorted_quartiles, detect_outliers
 from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _accepted_projections, _min_counts
-from rhdepth.rhd import depth_from_scores
+from rhdepth.rhd import _sorted_blocks, depth_from_scores
 from rhdepth.simlab import generate_inliers
 
 
@@ -332,7 +332,10 @@ def _kernel(sample, eval_scores, coeff):
 
 
 class TestCountKernel:
-    @pytest.mark.parametrize("k", [1, _COUNT_BLOCK, _COUNT_BLOCK + 1, 3 * _COUNT_BLOCK + 5])
+    # 1, 3, 63 and 127 directions end a block; 2 and 64 end inside one
+    @pytest.mark.parametrize(
+        "k", [1, 2, 3, 63, _COUNT_BLOCK, _COUNT_BLOCK + 1, 127, 128, 3 * _COUNT_BLOCK + 5]
+    )
     @pytest.mark.parametrize("name", _KERNEL_CASES)
     def test_matches_per_direction_search(self, name, k):
         sample, eval_scores, coeff = _kernel_case(name, k)
@@ -463,6 +466,25 @@ class TestCountKernel:
         res = depth_from_scores(dirs, 10.0, np.zeros((3, 1)), np.zeros((0, 1)))
         assert res.depths.shape == (0,)
         assert res.minimizing_directions == ()
+
+
+class TestSortedBlocks:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 63, 64, 127, 128, 300])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_blocks_cover_each_column_once(self, k, tied):
+        rng = np.random.default_rng(k)
+        proj = rng.integers(-2, 3, size=(20, k)) if tied else rng.standard_normal((20, k))
+        proj = proj.astype(float)
+        blocks = list(_sorted_blocks(proj))
+        widths = [rows.shape[0] for _, rows, _ in blocks]
+        assert [lo for lo, _, _ in blocks] == np.cumsum([0, *widths[:-1]]).tolist()
+        assert sum(widths) == k
+        # 1, 2, 4, ..., _COUNT_BLOCK, _COUNT_BLOCK, ..., the last one cut short
+        full = [min(2**b, _COUNT_BLOCK) for b in range(len(blocks))]
+        assert widths[:-1] == full[:-1] and 1 <= widths[-1] <= full[-1]
+        assert np.array_equal(np.vstack([rows for _, rows, _ in blocks]), np.sort(proj.T, axis=1))
+        # the first largest row of each column
+        assert np.array_equal(np.hstack([tops for _, _, tops in blocks]), proj.argmax(axis=0))
 
 
 class TestKernelQuartiles:
