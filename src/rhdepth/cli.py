@@ -385,11 +385,14 @@ def _build_parser() -> _Parser:
 
 def _checked_outputs(args, cmd) -> str:
     """The manifest's path, once no two outputs (it included) resolve to one
-    file, and no output is a directory or lies in a missing one."""
+    file, no output resolves to an input, and no output is a directory, lies
+    in a missing one, or exists as anything but a regular file (a FIFO, say,
+    which the atomic rename would replace)."""
     flags = [f"--{f}" for f in (*cmd.recorded, *cmd.unrecorded) if f.startswith("out")]
     named = {flag: vars(args)[flag[2:].replace("-", "_")] for flag in flags}
     manifest = named[f"the manifest of {flags[0]}"] = named[flags[0]] + ".manifest.json"
-    seen = {}
+    inputs = [f for f in cmd.recorded if f in ("input", "eval", "scenario") and vars(args)[f]]
+    seen = {os.path.realpath(vars(args)[f]): f"--{f}" for f in reversed(inputs)}
     for name, path in named.items():
         real = os.path.realpath(path)
         if real in seen:
@@ -399,6 +402,8 @@ def _checked_outputs(args, cmd) -> str:
             raise ValueError(f"{name} {path!r} is a directory")
         if not os.path.isdir(os.path.dirname(real)):
             raise ValueError(f"{name} {path!r}: its directory does not exist")
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ValueError(f"{name} {path!r} is not a regular file")
     return manifest
 
 

@@ -1,16 +1,16 @@
 """Discretized functional samples and empirical functional PCA.
 
-Curves live on a shared grid in [0, 1]; the L2 inner product is a weighted
-sum with trapezoidal quadrature weights. The sample covariance operator's
-eigenpairs come from one thin SVD of the centered curves scaled by the
-square roots of the weights, at a cost of O(n p min(n, p)) whichever of n
-and p is larger; the SVD also avoids the squared condition number of a
-covariance or Gram matrix.
+Curves live on a shared grid of any span; the L2 inner product is a
+weighted sum with the trapezoidal quadrature weights the grid derives. The
+sample covariance operator's eigenpairs come from one thin SVD of the
+centered curves scaled by the square roots of the weights, at a cost of
+O(n p min(n, p)) whichever of n and p is larger; the SVD also avoids the
+squared condition number of a covariance or Gram matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,29 +32,37 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Finite, strictly increasing time points with positive quadrature
-    weights that sum to their span."""
+    """Finite, strictly increasing time points of any span, with the
+    trapezoidal weights they derive (half of each point's two gaps); the
+    exact uniform grid on [0, 1] gets h/2, h, ..., h, h/2, h = 1 / (p - 1)."""
 
     points: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _frozen_array(self.points))
-        object.__setattr__(self, "weights", _frozen_array(self.weights))
-        if self.points.ndim != 1 or self.points.size < 2:
-            raise ValueError("grid needs at least two points")
-        if not np.all(np.isfinite(self.points)):
+        points = _frozen_array(self.points)
+        object.__setattr__(self, "points", points)
+        p = points.size
+        if points.ndim != 1 or p < 2:
+            raise ValueError(f"the grid needs at least 2 points, got {p}")
+        if not np.all(np.isfinite(points)):
             raise ValueError("grid points must be finite")
-        if self.weights.shape != self.points.shape:
-            raise ValueError("points and weights must have the same length")
-        if not np.all(np.diff(self.points) > 0):
+        with np.errstate(over="ignore"):
+            gaps = np.diff(points)
+            span = points[-1] - points[0]
+        if not np.all(gaps > 0):
             raise ValueError("grid points must be strictly increasing")
-        if not np.all(self.weights > 0):
+        if not np.isfinite(span):
+            raise ValueError("the grid span overflows")
+        # Only the exact uniform grid takes the even gap: a grid that merely
+        # lies close to it keeps its own gaps.
+        if np.array_equal(points, np.linspace(0.0, 1.0, p)):
+            gaps = np.full(p - 1, 1 / (p - 1))
+        weights = np.concatenate(([gaps[0]], gaps[:-1] + gaps[1:], [gaps[-1]])) / 2
+        # Gaps of a few subnormals halve to 0.
+        if not np.all(weights > 0):
             raise ValueError("quadrature weights must be positive")
-        span = self.points[-1] - self.points[0]
-        # Relative: the sum's rounding error scales with the span.
-        if abs(self.weights.sum() - span) > 1e-10 * span:
-            raise ValueError("weights must sum to the grid span")
+        object.__setattr__(self, "weights", _frozen_array(weights))
 
     def __len__(self) -> int:
         return self.points.size
@@ -64,11 +72,7 @@ def make_uniform_grid(p: int) -> Grid:
     """Equispaced grid on [0, 1] with trapezoidal weights."""
     if p < 2:
         raise ValueError(f"grid size must be at least 2, got {p}")
-    points = np.linspace(0.0, 1.0, p)
-    h = 1.0 / (p - 1)
-    weights = np.full(p, h)
-    weights[0] = weights[-1] = h / 2.0
-    return Grid(points, weights)
+    return Grid(np.linspace(0.0, 1.0, p))
 
 
 @dataclass(frozen=True)

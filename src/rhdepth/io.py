@@ -3,7 +3,8 @@
 Every CSV output is written by `csv_text`, each field by str(): a float as
 its shortest round-trip repr, so a curve file reads back exactly.
 
-Curve CSV format: first row holds the grid points, each subsequent row one
+Curve CSV format: first row holds the grid points, which become a Grid as
+read (the Grid derives its quadrature weights), each subsequent row one
 curve; UTF-8 with '.' decimals, any line ending (LF, CRLF or CR). NumPy's C
 parser reads it: fields may be double-quoted and padded with spaces, and a
 number is a Python float literal without underscores and in ASCII digits
@@ -23,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .funspace import EigenSystem, FunctionalSample, Grid, make_uniform_grid
+from .funspace import EigenSystem, FunctionalSample, Grid
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -92,8 +93,8 @@ def _shortened(message: str) -> str:
 
 
 def read_sample(path: str) -> FunctionalSample:
-    """Load a curve CSV; the grid gets trapezoidal weights. A file that holds
-    no usable sample raises ValueError naming it."""
+    """Load a curve CSV: its first row is the Grid, the rest the curves. A
+    file that holds no usable sample raises ValueError naming it."""
     try:
         with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
             # loadtxt warns on a file without data; the row count refuses it.
@@ -107,25 +108,8 @@ def read_sample(path: str) -> FunctionalSample:
 def _sample_from_table(table: np.ndarray) -> FunctionalSample:
     if len(table) < 2:
         raise ValueError("need a grid row and at least one curve row")
-    points, values = table[0], table[1:]
-    p = points.size
-    if p < 2:
-        raise ValueError(f"the grid needs at least 2 points, got {p}")
-    if not np.isfinite(points).all():
-        raise ValueError("grid points must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = points[-1] - points[0]
-        gaps = np.diff(points)
-        weights = np.concatenate(([gaps[0]], gaps[:-1] + gaps[1:], [gaps[-1]])) / 2
-    if not np.isfinite(span):
-        raise ValueError("the grid span overflows")
-    # Only the exact uniform grid takes its weights: a point that merely lies
-    # close to it is kept where the file puts it.
-    if np.array_equal(points, np.linspace(0.0, 1.0, p)):
-        grid = make_uniform_grid(p)
-    else:
-        grid = Grid(points, weights)
-    sample = FunctionalSample(grid, values)
+    grid = Grid(table[0])
+    sample = FunctionalSample(grid, table[1:])
     with np.errstate(over="ignore"):
         # FPCA squares the centered curves scaled by sqrt(w) and sums the
         # squares: a centered square is at most 4x the largest uncentered

@@ -145,7 +145,6 @@ def resolve_lambda(spec: RegularizationSpec, dirs: DirectionSet) -> float:
         return float(spec.lam)
     m = dirs.proposal_size
     k = int(np.ceil(spec.quantile_level * m))
-    k = max(k, 1)
     return float(np.sort(dirs.rkhs_norms[:m])[k - 1])
 
 

@@ -40,18 +40,16 @@ PHASE_MIN_J0 = 9
 _SQRT3 = np.sqrt(3.0)
 
 
-def eigenvalue_tail_sums(J0: int, power: int = 5, terms: int = 2000) -> np.ndarray:
-    """gamma_j = 2 * sum_{l=j}^inf l^-power for j = 1..J0.
+def eigenvalue_tail_sums(J0: int) -> np.ndarray:
+    """gamma_j = 2 * sum_{l=j}^inf l^-5 for j = 1..J0.
 
-    Partial sum through `terms` plus the midpoint integral estimate of the
-    remainder; absolute error well below 1e-12 for the defaults.
+    Partial sum through l = 2000 plus the midpoint integral estimate of the
+    remainder, 2000.5^-4 / 4; absolute error well below 1e-12.
     """
-    l = np.arange(1, terms + 1, dtype=float)
-    inv = l**-power
-    # suffix[j-1] = sum_{l=j}^{terms} l^-power
+    inv = np.arange(1, 2001, dtype=float) ** -5
+    # suffix[j-1] = sum_{l=j}^{2000} l^-5
     suffix = np.cumsum(inv[::-1])[::-1]
-    remainder = (terms + 0.5) ** (1 - power) / (power - 1)
-    return 2.0 * (suffix[:J0] + remainder)
+    return 2.0 * (suffix[:J0] + 2000.5**-4 / 4)
 
 
 def trigonometric_basis(points: np.ndarray, J0: int) -> np.ndarray:
@@ -116,14 +114,14 @@ def _trapezoid_bump(t: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.clip(2.0 - 4.0 * np.abs(t - center) / width, 0.0, 1.0)
 
 
-def _shape_outlier(base: np.ndarray, dev: np.ndarray, cap: float = ENVELOPE_CAP):
+def _shape_outlier(base: np.ndarray, dev: np.ndarray):
     """Scaled base plus deviation, with the deviation amplitude chosen to
-    spend the remaining pointwise budget under the cap."""
+    spend the remaining pointwise budget under ENVELOPE_CAP."""
     body = BASE_SHARE * base
     sup = np.abs(dev).max()
     if sup <= 0:
         return body
-    amp = (cap - np.abs(body).max()) / sup
+    amp = (ENVELOPE_CAP - np.abs(body).max()) / sup
     return body + amp * dev
 
 

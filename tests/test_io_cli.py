@@ -543,32 +543,66 @@ def _refuse_pipeline(*args, **kwargs):
     raise AssertionError("the pipeline ran")
 
 
+_SIMULATE = "simulate --scenario {c} --seed 1 --out-sample {o} --out-labels "
+
+
 @pytest.mark.parametrize(
-    "labels, flags",
+    "argv, flags",
     [
-        ("{o}", "--out-sample and --out-labels"),
-        ("{d}/./{n}", "--out-sample and --out-labels"),
-        ("{o}.manifest.json", "--out-labels and the manifest of --out-sample"),
+        # The first three keep the ids they had as --out-labels values.
+        pytest.param(
+            _SIMULATE + "{o}",
+            "--out-sample and --out-labels",
+            id="{o}---out-sample and --out-labels",
+        ),
+        pytest.param(
+            _SIMULATE + "{d}/./{n}",
+            "--out-sample and --out-labels",
+            id="{d}/./{n}---out-sample and --out-labels",
+        ),
+        pytest.param(
+            _SIMULATE + "{o}.manifest.json",
+            "--out-labels and the manifest of --out-sample",
+            id="{o}.manifest.json---out-labels and the manifest of --out-sample",
+        ),
+        pytest.param(_SIMULATE + "{c}", "--scenario and --out-labels", id="scenario"),
+        pytest.param(
+            "depth --input {s} --u 0.5 --seed 1 --out {s}", "--input and --out", id="depth-input"
+        ),
+        pytest.param(
+            "depth --input {s} --eval {e} --u 0.5 --seed 1 --out {e}",
+            "--eval and --out",
+            id="depth-eval",
+        ),
     ],
 )
-def test_colliding_outputs_refused(labels, flags, cli_files, capsys, monkeypatch):
+def test_colliding_outputs_refused(argv, flags, cli_files, capsys, monkeypatch):
     monkeypatch.setattr("rhdepth.cli.generate_scenario", _refuse_pipeline)
+    monkeypatch.setattr("rhdepth.cli.read_sample", _refuse_pipeline)
+    inputs = {key: Path(cli_files[key]).read_bytes() for key in "sec"}
     out = cli_files["o"]
     d, n = os.path.split(out)
-    argv = ["simulate", "--scenario", cli_files["c"], "--seed", "1", "--out-sample", out]
-    assert run(argv + ["--out-labels", labels.format(o=out, d=d, n=n)]) == 1
+    assert run(argv.format(d=d, n=n, **cli_files).split()) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flags in err
     assert not os.path.exists(out) and not os.path.exists(out + ".manifest.json")
+    assert {key: Path(cli_files[key]).read_bytes() for key in "sec"} == inputs
 
 
-@pytest.mark.parametrize("target, message", [("nodir/o", "does not exist"), ("adir", "directory")])
+@pytest.mark.parametrize(
+    "target, message",
+    [("nodir/o", "does not exist"), ("adir", "directory"), ("ff", "is not a regular file")],
+)
 def test_unwritable_output_refused_before_the_pipeline(
     target, message, cli_files, capsys, monkeypatch
 ):
     monkeypatch.setattr("rhdepth.cli.calibrate_factor", _refuse_pipeline)
     d = os.path.dirname(cli_files["o"])
     os.mkdir(os.path.join(d, "adir"))
+    if target == "ff":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("os.mkfifo is missing on this platform")
+        os.mkfifo(os.path.join(d, "ff"))  # the atomic rename would replace it
     out = os.path.join(d, target)
     argv = ["outliers", "--input", cli_files["s"], "--J", "3", "--M", "200", "--u", "0.5"]
     assert run(argv + ["--calibrate", "--B", "200", "--seed", "1", "--out", out]) == 1
