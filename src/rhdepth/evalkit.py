@@ -6,6 +6,7 @@ replicate step of calibration too, and scored at each (u, f).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,20 +56,20 @@ def normalized_ranks(depths) -> RankTable:
 def detection_metrics(flagged, labels) -> DetectionMetrics:
     """Correct (p_c) and false (p_f) detection proportions.
 
-    `flagged` holds curve indices; `labels` marks each curve 'inlier' or an
-    outlier kind. Empty denominators yield a proportion of 0.
+    `flagged` holds integer curve indices (Python or NumPy integers);
+    `labels` marks each curve 'inlier' or an outlier kind. Empty
+    denominators yield a proportion of 0.
     """
     labels = list(labels)
-    flagged = set(int(i) for i in flagged)
+    flagged = {operator.index(i) for i in flagged}
     if any(i < 0 or i >= len(labels) for i in flagged):
         raise ValueError("flagged index out of range")
-    outliers = {i for i, lab in enumerate(labels) if lab != "inlier"}
-    inliers = set(range(len(labels))) - outliers
-    p_c = len(flagged & outliers) / len(outliers) if outliers else 0.0
-    p_f = len(flagged & inliers) / len(inliers) if inliers else 0.0
-    return DetectionMetrics(
-        p_c=p_c, p_f=p_f, n_outliers=len(outliers), n_inliers=len(inliers)
-    )
+    n_inliers = labels.count("inlier")
+    n_outliers = len(labels) - n_inliers
+    caught = sum(labels[i] != "inlier" for i in flagged)
+    p_c = caught / n_outliers if n_outliers else 0.0
+    p_f = (len(flagged) - caught) / n_inliers if n_inliers else 0.0
+    return DetectionMetrics(p_c=p_c, p_f=p_f, n_outliers=n_outliers, n_inliers=n_inliers)
 
 
 def tukey_depth_2d_exact(points, x) -> float:

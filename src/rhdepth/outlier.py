@@ -20,8 +20,10 @@ defaults) once, on the fence path's product, for the depths.
 `flag_sweep` is the replicate step of both simulation studies (a
 calibration null dataset, a ROC replicate in `evalkit.roc_table`): fit,
 one direction pool seeded from the caller's RNG, one projection product
-and sort at the largest lambda, whose columns every lambda reads, flags
-per lambda and factor.
+and sort at the largest lambda, whose columns every lambda reads, and
+per lambda one fence call and one compare for all factors, which form
+one array axis. `detect_outliers` tests its one factor's fences a block
+of pair columns at a time, so it holds no float copy of the pairs.
 
 The factor f is calibrated on Gaussian null data matching the input's
 empirical mean and covariance, targeting a 0.7% flagged proportion.
@@ -38,7 +40,7 @@ from ._parallel import parallel_map
 from .errors import EmptyPoolError
 from .funspace import EigenSystem, FunctionalSample, _frozen_array, fit_fpca
 from .rhd import DirectionSet, RegularizationSpec, _accepted_projections, _min_counts
-from .rhd import _sorted_blocks, draw_directions, resolve_lambda
+from .rhd import _COUNT_BLOCK, _sorted_blocks, draw_directions, resolve_lambda
 
 FACTOR_GRID = (1.5, 2.0, 2.5, 3.0, 3.5)
 TARGET_RATE = 0.007
@@ -134,13 +136,16 @@ def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lams):
     return projections, per_lambda
 
 
-def _fences(q1, q3, factor: float):
-    """IQR, lower and upper fence per pair; a factor so large that a fence
-    overflows is refused."""
+def _fences(q1, q3, factors):
+    """IQR, lower and upper fence per pair, one row of fences per factor
+    when factors has shape (F, 1); a factor so large that a fence overflows
+    is refused by name."""
     iqr = q3 - q1
     with np.errstate(over="ignore", invalid="ignore"):
-        lower, upper = q1 - factor * iqr, q3 + factor * iqr
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        lower, upper = q1 - factors * iqr, q3 + factors * iqr
+    finite = np.isfinite(lower) & np.isfinite(upper)
+    if not finite.all():
+        factor = float(np.broadcast_to(factors, finite.shape)[~finite][0])
         raise ValueError(f"factor {factor!r} is too large: a fence overflows")
     return iqr, lower, upper
 
@@ -150,22 +155,23 @@ def flag_sweep(sample: FunctionalSample, J: int, M: int, rng, specs, factors) ->
 
     Fits FPCA to the sample and draws one direction pool, seeded from the
     next draw of the numpy Generator rng, which every spec's lambda shares.
-    Every factor is applied to the same quartiles; only candidates are tested.
+    The factors are one array axis: per spec, one fence call gives every
+    factor's fences on the same quartiles, and one compare tests the
+    candidates, the only curves tested, against all of them.
     """
     eig = fit_fpca(sample, J)
     dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
     lams = [resolve_lambda(spec, dirs) for spec in specs]
     projections, per_lambda = _candidate_fences(eig, dirs, lams)
+    factors = np.asarray(factors, dtype=float)[:, None]
     sweep = []
     for owners, columns, _, quartiles in per_lambda:
         candidates = np.unique(owners)
         rows = projections[np.ix_(candidates, columns)]
-        flagged = []
-        for factor in factors:
-            _, lower, upper = _fences(*quartiles, factor)
-            hit = ((rows < lower) | (rows > upper)).any(axis=1)
-            flagged.append(tuple(candidates[hit].tolist()))
-        sweep.append(tuple(flagged))
+        _, lower, upper = _fences(*quartiles, factors)
+        # (factor, candidate, pair) compares, then any over the pairs
+        hits = ((rows < lower[:, None]) | (rows > upper[:, None])).any(axis=2)
+        sweep.append(tuple(tuple(candidates[hit].tolist()) for hit in hits))
     return sweep
 
 
@@ -179,9 +185,13 @@ def detect_outliers(
     projections, [(owners, columns, directions, (q1, q3))] = _candidate_fences(eig, dirs, [lam])
     depths = _frozen_array(_min_counts(projections)[0] / projections.shape[0])
     iqr, lower, upper = _fences(q1, q3, factor)
-    pairs = projections[:, columns]
-    outside = (pairs < lower) | (pairs > upper)
-    del pairs, projections  # freed before the records are built
+    # Tested a block of pair columns at a time: no (n, pairs) float copy.
+    outside = np.empty((projections.shape[0], columns.size), dtype=bool)
+    for lo in range(0, columns.size, _COUNT_BLOCK):
+        pairs = slice(lo, lo + _COUNT_BLOCK)
+        block = projections[:, columns[pairs]]
+        np.logical_or(block < lower[pairs], block > upper[pairs], out=outside[:, pairs])
+    del block, projections  # freed before the records are built
     # One record per pair, from its column of each array in FenceRecord's field order.
     fields = (a.tolist() for a in (owners, directions, q1, q3, iqr, lower, upper))
     # The curves outside each pair's fence, from one nonzero grouped by pair.

@@ -15,6 +15,7 @@ notes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,15 +66,31 @@ def trigonometric_basis(points: np.ndarray, J0: int) -> np.ndarray:
     return basis
 
 
+# Built once per (p, J0) and shared read-only, also across threads: every
+# scenario, inlier batch and outlier curve on one grid reads the same set-up.
+@functools.cache
+def _kl_setup(p: int, J0: int):
+    """The uniform grid, the J0 basis rows on it and the eigenvalue tail sums."""
+    grid = make_uniform_grid(p)
+    basis, gamma = trigonometric_basis(grid.points, J0), eigenvalue_tail_sums(J0)
+    basis.flags.writeable = gamma.flags.writeable = False
+    return grid, basis, gamma
+
+
+def _require_phase_truncation(J0: int) -> None:
+    if J0 < PHASE_MIN_J0:
+        raise ValueError(f"phase outliers need J0 >= {PHASE_MIN_J0}, got {J0}")
+
+
 def inlier_sup_bound(J0: int = DEFAULT_TRUNCATION) -> float:
     """Explicit bound: |xi_j| <= 3 and |phi_j| <= sqrt(2) pointwise."""
     gamma = eigenvalue_tail_sums(J0)
     return float(3.0 * np.sqrt(2.0) * np.sum(np.sqrt(gamma)))
 
 
-def _inlier_coefficients(rng, n: int, J0: int, gaussian: bool) -> np.ndarray:
+def _inlier_coefficients(rng, n: int, gamma: np.ndarray, gaussian: bool) -> np.ndarray:
     """KL coefficient matrix sqrt(gamma_j) * xi_ij, shape n x J0."""
-    gamma = eigenvalue_tail_sums(J0)
+    J0 = gamma.size
     if gaussian:
         xi = rng.standard_normal((n, J0))
     else:
@@ -94,10 +111,8 @@ def generate_inliers(
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    grid = make_uniform_grid(p)
-    coeff = _inlier_coefficients(rng, n, J0, gaussian)
-    values = coeff @ trigonometric_basis(grid.points, J0)
-    return FunctionalSample(grid, values)
+    grid, basis, gamma = _kl_setup(p, J0)
+    return FunctionalSample(grid, _inlier_coefficients(rng, n, gamma, gaussian) @ basis)
 
 
 # Pointwise cap for shape outliers: the inlier envelope half-width from 1e4
@@ -138,12 +153,12 @@ def generate_outlier(
     """
     if kind not in OUTLIER_KINDS:
         raise ValueError(f"unknown outlier kind {kind!r}; choose from {OUTLIER_KINDS}")
+    if kind == "phase":
+        _require_phase_truncation(J0)
     rng = np.random.default_rng(seed)
-    grid = make_uniform_grid(p)
+    grid, basis, gamma = _kl_setup(p, J0)
     t = grid.points
-    basis = trigonometric_basis(t, J0)
-    gamma = eigenvalue_tail_sums(J0)
-    coeff = _inlier_coefficients(rng, 1, J0, gaussian=False)[0]
+    coeff = _inlier_coefficients(rng, 1, gamma, gaussian=False)[0]
     base = coeff @ basis
 
     if kind == "magnitude":
@@ -222,8 +237,8 @@ class ScenarioSpec:
             raise ValueError(f"p must be at least 2, got {self.p}")
         if self.J0 < 1:
             raise ValueError(f"J0 must be at least 1, got {self.J0}")
-        if self.outlier_counts.get("phase") and self.J0 < PHASE_MIN_J0:
-            raise ValueError(f"phase outliers need J0 >= {PHASE_MIN_J0}, got {self.J0}")
+        if self.outlier_counts.get("phase"):
+            _require_phase_truncation(self.J0)
         for kind, count in self.outlier_counts.items():
             if kind not in OUTLIER_KINDS:
                 raise ValueError(f"unknown outlier kind {kind!r}")

@@ -18,6 +18,7 @@ from rhdepth import (
     roc_table,
     tukey_depth_2d_exact,
 )
+from rhdepth.evalkit import DetectionMetrics
 from rhdepth.outlier import detect_outliers
 from rhdepth.rhd import depth_from_scores
 
@@ -70,6 +71,45 @@ class TestDetectionMetrics:
         m = detection_metrics([1], ["inlier"] * 5)
         assert m.p_c == 0.0
         assert m.p_f == pytest.approx(1 / 5)
+
+    def test_matches_set_based_form(self):
+        rng = np.random.default_rng(11)
+        kinds = ["inlier", "magnitude", "jump"]
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            share = (0.0, 1.0, rng.uniform())[trial % 3]  # all-inlier, all-outlier, mixed
+            outlier = rng.uniform(size=n) < share
+            labels = [kinds[1 + int(rng.integers(2))] if o else "inlier" for o in outlier]
+            flagged = rng.integers(n, size=int(rng.integers(0, 2 * n + 1)))  # repeats too
+            for indices in (flagged, flagged.tolist()):
+                assert detection_metrics(indices, labels) == _set_based_metrics(flagged, labels)
+
+    @pytest.mark.parametrize("index", [1.7, 1.0, "1", np.float64(2.0)])
+    def test_refuses_non_integer_indices(self, index):
+        with pytest.raises(TypeError):
+            detection_metrics([0, index], self.LABELS)
+
+    @pytest.mark.parametrize("index", [-1, 10, np.int64(10)])
+    def test_refuses_indices_out_of_range(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            detection_metrics([index], self.LABELS)
+
+    def test_numpy_integers_pass(self):
+        m = detection_metrics([np.int64(9), np.intp(0), np.uint8(9)], self.LABELS)
+        assert m == DetectionMetrics(p_c=1.0, p_f=1 / 9, n_outliers=1, n_inliers=9)
+
+
+def _set_based_metrics(flagged, labels):
+    """detection_metrics in its earlier form: sets of every outlier and inlier index."""
+    flagged = set(int(i) for i in flagged)
+    outliers = {i for i, lab in enumerate(labels) if lab != "inlier"}
+    inliers = set(range(len(labels))) - outliers
+    return DetectionMetrics(
+        p_c=len(flagged & outliers) / len(outliers) if outliers else 0.0,
+        p_f=len(flagged & inliers) / len(inliers) if inliers else 0.0,
+        n_outliers=len(outliers),
+        n_inliers=len(inliers),
+    )
 
 
 class TestExact2dOracle:

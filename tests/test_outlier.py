@@ -451,3 +451,99 @@ class TestCandidateFencesMatchMaskReference:
             tracemalloc.stop()
         block = n * rhd._COUNT_BLOCK * np.dtype(float).itemsize
         assert peak - held - n * k * np.dtype(float).itemsize < 2 * block
+
+
+def _reference_flag_sweep(sample, J, M, rng, specs, factors):
+    """flag_sweep in its earlier form: per lambda, a loop over the factors,
+    each with its own fences and compare on the same quartiles."""
+    eig = fit_fpca(sample, J)
+    dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
+    lams = [resolve_lambda(spec, dirs) for spec in specs]
+    projections, per_lambda = _candidate_fences(eig, dirs, lams)
+    sweep = []
+    for owners, columns, _, (q1, q3) in per_lambda:
+        candidates = np.unique(owners)
+        rows = projections[np.ix_(candidates, columns)]
+        flagged = []
+        for factor in factors:
+            iqr = q3 - q1
+            lower, upper = q1 - factor * iqr, q3 + factor * iqr
+            hit = ((rows < lower) | (rows > upper)).any(axis=1)
+            flagged.append(tuple(candidates[hit].tolist()))
+        sweep.append(tuple(flagged))
+    return sweep
+
+
+class TestFlagSweepMatchesPerFactorLoop:
+    """The factors applied as one array axis flag what a loop over them flags."""
+
+    U_GRID = (0.5, 0.7, 0.9, 0.95)
+    # Below FACTOR_GRID too, so that the flags differ between factors.
+    FACTORS = (0.25, 0.5, 1.0, *FACTOR_GRID)
+
+    def _assert_matches(self, sample, J, M, seed):
+        specs = [RegularizationSpec.from_quantile(u) for u in self.U_GRID]
+        args = (sample, J, M)
+        sweep = flag_sweep(*args, np.random.default_rng(seed), specs, self.FACTORS)
+        expected = _reference_flag_sweep(*args, np.random.default_rng(seed), specs, self.FACTORS)
+        assert sweep == expected
+        return sweep
+
+    def test_paper_case(self):
+        sweeps = []
+        for rep in range(3):
+            kind = OUTLIER_KINDS[rep % len(OUTLIER_KINDS)]
+            spec = ScenarioSpec(n_inliers=400, outlier_counts={kind: 1}, seed=5_000_000 + rep)
+            sweeps += self._assert_matches(generate_scenario(spec)[0], 6, 1000, 6_000_000 + rep)
+        assert any(len(set(per_factor)) > 1 for per_factor in sweeps)
+
+    def test_criterion_6_grid(self):
+        counts = {"magnitude": 1, "jump": 1, "wiggle": 1, "linear": 1}
+        sweeps = []
+        for rep in range(3):
+            spec = ScenarioSpec(n_inliers=200, outlier_counts=counts, seed=7_000_000 + rep)
+            sweeps += self._assert_matches(generate_scenario(spec)[0], 6, 1000, 8_000_000 + rep)
+        assert any(len(set(per_factor)) > 1 for per_factor in sweeps)
+
+    def test_doubled_sample(self):
+        for seed in TestBatchedFencesMatchPerPairReference.SEEDS:
+            half = _contaminated(75, seed)
+            doubled = FunctionalSample(half.grid, np.vstack([half.values, half.values]))
+            sweep = self._assert_matches(doubled, 6, 500, seed)
+            # two curves on top of each minimizing direction: the shortest top run is 2
+            eig, dirs = _sweep_pool(doubled, 6, 500, seed)
+            lams = [resolve_lambda(RegularizationSpec.from_quantile(u), dirs) for u in self.U_GRID]
+            for _, columns, *_ in _candidate_fences(eig, dirs, lams)[1]:
+                assert columns.size == 2 * np.unique(columns).size
+            assert any(per_factor[0] for per_factor in sweep)
+
+
+def test_sweep_names_the_overflowing_factor():
+    # 1e307 times the largest IQR here (about 2.4) is finite, 1.7e308 times
+    # it is not; the first factor that overflows is named
+    sample = _contaminated(60, 309)
+    specs = (RegularizationSpec.from_quantile(0.9),)
+    factors = (1.5, 1e307, 1.7e308, 3.0, 1.79e308)
+    with pytest.raises(ValueError) as raised:
+        flag_sweep(sample, 4, 200, np.random.default_rng(310), specs, factors)
+    assert str(raised.value) == "factor 1.7e+308 is too large: a fence overflows"
+
+
+def test_detect_outliers_holds_no_float_copy_of_the_pairs():
+    # the paper case at u = 0.95: about 950 pairs, one per accepted direction.
+    # Beside the product and the boolean (n, pairs) outside, a float copy of
+    # the pairs' columns would hold n * pairs doubles more.
+    spec = ScenarioSpec(n_inliers=400, outlier_counts={"magnitude": 1}, seed=5)
+    eig, dirs, lam = _fitted(generate_scenario(spec)[0], u=0.95, seed=6)
+    n, k = eig.scores.shape[0], dirs.accepted(lam).size
+    pairs = _candidate_fences(eig, dirs, [lam])[1][0][1].size
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        detect_outliers(eig, dirs, lam, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - held - n * k * np.dtype(float).itemsize - n * pairs
+    assert pairs > rhd._COUNT_BLOCK
+    assert extra < n * pairs * np.dtype(float).itemsize / 2

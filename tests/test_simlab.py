@@ -1,5 +1,7 @@
 """Synthetic inlier generator and the eight outlier kinds."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -10,7 +12,9 @@ from rhdepth import (
     generate_inliers,
     generate_outlier,
     generate_scenario,
+    make_uniform_grid,
 )
+from rhdepth import simlab
 from rhdepth.simlab import (
     ENVELOPE_CAP,
     eigenvalue_tail_sums,
@@ -107,6 +111,16 @@ class TestOutliers:
         with pytest.raises(ValueError):
             generate_outlier("banana", seed=0)
 
+    @pytest.mark.parametrize("J0", [1, 2, 5, 8])
+    def test_phase_needs_nine_terms(self, J0):
+        # the phase outlier moves KL terms 2, 3 to 8, 9; ScenarioSpec says the same
+        message = f"phase outliers need J0 >= 9, got {J0}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_outlier("phase", seed=0, J0=J0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec(n_inliers=10, outlier_counts={"phase": 1}, J0=J0)
+        assert generate_outlier("damping", seed=0, J0=J0).shape == (50,)
+
     def test_seed_determinism(self):
         for kind in OUTLIER_KINDS:
             a = generate_outlier(kind, seed=5)
@@ -181,3 +195,50 @@ class TestScenario:
             ScenarioSpec(n_inliers=10, outlier_counts={"phase": 1}, J0=8)
         spec = ScenarioSpec(n_inliers=10, outlier_counts={"phase": 1}, J0=9)
         assert generate_scenario(spec)[0].n == 11
+
+
+def _fresh_kl_setup(p, J0):
+    """The grid, basis and tail sums built anew on each call."""
+    grid = make_uniform_grid(p)
+    return grid, trigonometric_basis(grid.points, J0), eigenvalue_tail_sums(J0)
+
+
+class TestSharedKLSetup:
+    """One read-only KL set-up per (p, J0) serves every generator."""
+
+    # Interleaved, so that a set-up kept per p or per J0 alone serves a wrong shape.
+    SHAPES = ((50, 15), (50, 9), (30, 15), (50, 15), (30, 9), (30, 15))
+
+    def _draw_all(self):
+        drawn = []
+        for p, J0 in self.SHAPES:
+            counts = dict.fromkeys(OUTLIER_KINDS, 1)
+            sample, labels = generate_scenario(ScenarioSpec(20, counts, seed=p + J0, p=p, J0=J0))
+            drawn += [sample.values, sample.grid.points, sample.grid.weights, labels]
+            for gaussian in (False, True):
+                drawn.append(generate_inliers(7, seed=J0, p=p, J0=J0, gaussian=gaussian).values)
+            drawn += [generate_outlier(kind, seed=p, p=p, J0=J0) for kind in OUTLIER_KINDS]
+        return drawn
+
+    def test_bit_identical_to_a_fresh_set_up_per_call(self, monkeypatch):
+        shared = self._draw_all()
+        monkeypatch.setattr(simlab, "_kl_setup", _fresh_kl_setup)
+        fresh = self._draw_all()
+        assert len(shared) == len(fresh)
+        for a, b in zip(shared, fresh):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_shared_arrays_are_read_only(self):
+        grid, basis, gamma = simlab._kl_setup(50, 15)
+        for array in (grid.points, grid.weights, basis, gamma):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_writing_into_public_helper_arrays_leaves_the_next_scenario(self):
+        spec = ScenarioSpec(20, {"phase": 1, "damping": 1, "jump": 1}, seed=4)
+        before = generate_scenario(spec)[0].values
+        basis = trigonometric_basis(make_uniform_grid(spec.p).points, spec.J0)
+        gamma = eigenvalue_tail_sums(spec.J0)
+        basis[:] = 0.0
+        gamma[:] = 0.0
+        assert np.array_equal(generate_scenario(spec)[0].values, before)
