@@ -28,7 +28,8 @@ Scenario config files are plain key=value lines; the seed comes from
     J0 = 15
 
 Environment overrides: RHDEPTH_SEED and RHDEPTH_THREADS apply when the
-corresponding flag is not given, and are checked as that flag is. The
+corresponding flag is not given, and are checked as that flag is. A seed
+taken from RHDEPTH_SEED is recorded in the manifest's argv as --seed. The
 thread count is capped at the CPU count.
 """
 
@@ -61,7 +62,7 @@ from .io import (
 )
 from .outlier import FACTOR_GRID, calibrate_factor, detect_outliers
 from .rhd import RegularizationSpec, approximate_rhd, draw_directions, resolve_lambda
-from .simlab import DEFAULT_GRID_SIZE, DEFAULT_TRUNCATION, ScenarioSpec, generate_scenario
+from .simlab import ScenarioSpec, generate_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,8 +199,8 @@ def _config_int(key: str, text: str) -> int:
 
 
 def _scenario_from_lines(lines) -> ScenarioSpec:
-    fields = {"n_inliers": None, "outliers": "", "p": DEFAULT_GRID_SIZE, "J0": DEFAULT_TRUNCATION}
-    seen = set()
+    """The ScenarioSpec of the keys a file gives; ScenarioSpec's defaults fill the rest."""
+    fields = {}
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -210,28 +211,23 @@ def _scenario_from_lines(lines) -> ScenarioSpec:
         key = key.strip()
         if key == "seed":
             raise ValueError("unknown key 'seed': the seed comes from --seed")
-        if key not in fields:
+        if key not in ("n_inliers", "outliers", "p", "J0"):
             raise ValueError(f"unknown key {key!r}")
-        if key in seen:
+        if key in fields:
             raise ValueError(f"key {key!r} given twice")
-        seen.add(key)
         fields[key] = value.strip()
-    if fields["n_inliers"] is None:
+    if "n_inliers" not in fields:
         raise ValueError("n_inliers is required")
     counts = {}
-    if fields["outliers"]:
-        for item in str(fields["outliers"]).split(","):
+    if fields.get("outliers"):
+        for item in fields["outliers"].split(","):
             kind, _, count = item.strip().partition(":")
             kind = kind.strip()
             if kind in counts:
                 raise ValueError(f"outlier kind {kind!r} given twice")
             counts[kind] = _config_int(f"the count of {kind!r}", count) if count else 1
-    return ScenarioSpec(
-        n_inliers=_config_int("n_inliers", fields["n_inliers"]),
-        outlier_counts=counts,
-        p=_config_int("p", fields["p"]),
-        J0=_config_int("J0", fields["J0"]),
-    )
+    sizes = {k: _config_int(k, fields[k]) for k in ("n_inliers", "p", "J0") if k in fields}
+    return ScenarioSpec(outlier_counts=counts, **sizes)
 
 
 def _json_float(value):
@@ -244,7 +240,7 @@ def _fit_pool(args):
     """Read the sample, fit FPCA, draw the direction pool and resolve lambda."""
     sample = read_sample(args.input)
     eig = fit_fpca(sample, args.J)
-    dirs = draw_directions(eig, args.J, args.M, args.seed)
+    dirs = draw_directions(eig, args.M, args.seed)
     return sample, eig, dirs, resolve_lambda(_reg_spec(args), dirs)
 
 
@@ -413,7 +409,10 @@ def _run_command(args, argv, parser) -> int:
     cmd = _COMMANDS[args.command]
     seeded = "seed" in cmd.unrecorded
     if seeded:
+        from_env = args.seed is None
         args.seed = _resolve_seed(args, parser)
+        if from_env:  # recorded as a flag, so the argv replays without RHDEPTH_SEED
+            argv = [*argv, "--seed", str(args.seed)]
     manifest_path = _checked_outputs(args, cmd)
     outputs, resolved = cmd.pipeline(args)
     for path, content in outputs.items():

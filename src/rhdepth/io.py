@@ -78,20 +78,6 @@ def _read_csv(path: str) -> list:
         raise ValueError(f"{path}: {exc}") from None
 
 
-# Longest reader message kept whole. loadtxt quotes the field it could not
-# convert, which may be a whole file long.
-_MESSAGE_CHARS = 200
-
-
-def _shortened(message: str) -> str:
-    """The message, or its head and tail (where the field's row and column
-    are) when it is longer than _MESSAGE_CHARS."""
-    if len(message) <= _MESSAGE_CHARS:
-        return message
-    half = _MESSAGE_CHARS // 2
-    return f"{message[:half]} ... {message[-half:]}"
-
-
 def read_sample(path: str) -> FunctionalSample:
     """Load a curve CSV: its first row is the Grid, the rest the curves. A
     file that holds no usable sample raises ValueError naming it."""
@@ -102,7 +88,7 @@ def read_sample(path: str) -> FunctionalSample:
             table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
         return _sample_from_table(table)
     except ValueError as exc:  # UnicodeDecodeError included
-        raise ValueError(f"{path}: {_shortened(str(exc))}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _sample_from_table(table: np.ndarray) -> FunctionalSample:

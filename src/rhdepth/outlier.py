@@ -160,7 +160,7 @@ def flag_sweep(sample: FunctionalSample, J: int, M: int, rng, specs, factors) ->
     candidates, the only curves tested, against all of them.
     """
     eig = fit_fpca(sample, J)
-    dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
+    dirs = draw_directions(eig, M, seed=int(rng.integers(2**63)))
     lams = [resolve_lambda(spec, dirs) for spec in specs]
     projections, per_lambda = _candidate_fences(eig, dirs, lams)
     factors = np.asarray(factors, dtype=float)[:, None]

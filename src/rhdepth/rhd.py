@@ -19,25 +19,20 @@ from .funspace import EigenSystem, FunctionalSample, _frozen_array
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Unit coefficient vectors in R^J and their RKHS norms.
+    """Unit coefficient vectors in R^J, one row each, and their RKHS norms.
 
     The first proposal_size rows are the random proposal draws that lambda
-    quantiles refer to; any further rows are data directions. A pool built
-    without proposal_size is all proposal.
+    quantiles refer to; any further rows are data directions.
     """
 
-    truncation: int
     coefficients: np.ndarray
     rkhs_norms: np.ndarray
-    seed: int
-    proposal_size: int | None = None
+    proposal_size: int
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _frozen_array(self.coefficients))
         object.__setattr__(self, "rkhs_norms", _frozen_array(self.rkhs_norms))
-        if self.proposal_size is None:
-            object.__setattr__(self, "proposal_size", self.size)
-        elif not 1 <= self.proposal_size <= self.size:
+        if not 1 <= self.proposal_size <= self.size:
             raise ValueError(f"proposal_size must be in [1, {self.size}]")
 
     @property
@@ -93,43 +88,39 @@ def _unit_rows(v: np.ndarray, gamma: np.ndarray):
     return coeff, np.sqrt(np.sum(coeff**2 / gamma, axis=1))
 
 
-def draw_directions(eig: EigenSystem, J: int, M: int, seed: int) -> DirectionSet:
+def draw_directions(eig: EigenSystem, M: int, seed: int) -> DirectionSet:
     """Draw M proposal directions, then add one data direction per curve.
 
-    The proposals are z/||z|| with z ~ N(0, diag(gamma_1..gamma_J)), the
-    non-isotropic proposal on the unit sphere. A random pool only bounds
-    the depth from above, and these proposals almost never reach the
-    high-norm directions that cut a hull vertex off from the rest of the
-    sample. So each sample curve also contributes its whitened radial
-    direction Gamma^-1 (s_i - mean(s)), made unit; zero or non-finite ones
-    are dropped. Their RKHS norms are mostly large, so they mostly enter
-    the depth at large lambda; a curve far out along one eigendirection
-    has a radial direction of low norm.
+    Directions are unit vectors in R^J, J = eig.truncation: coefficients
+    on the eigensystem's eigenfunctions. The proposals are z/||z|| with
+    z ~ N(0, diag(gamma_1..gamma_J)), the non-isotropic proposal on the
+    unit sphere. A random pool only bounds the depth from above, and these
+    proposals almost never reach the high-norm directions that cut a hull
+    vertex off from the rest of the sample. So each sample curve also
+    contributes its whitened radial direction Gamma^-1 (s_i - mean(s)),
+    made unit; zero or non-finite ones are dropped. Their RKHS norms are
+    mostly large, so they mostly enter the depth at large lambda; a curve
+    far out along one eigendirection has a radial direction of low norm.
 
     The lambda constraint is applied later by norm filtering, so the same
-    pool serves every lambda. Deterministic given (eigensystem, J, M, seed).
+    pool serves every lambda. Deterministic given (eigensystem, M, seed).
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    if J < 1 or J > eig.truncation:
-        raise ValueError(f"J must be in [1, {eig.truncation}]")
-    gamma = eig.eigenvalues[:J]
+    gamma = eig.eigenvalues
     if gamma[-1] <= 0:
-        raise RankError(J, int(np.sum(gamma > 0)))
+        raise RankError(gamma.size, int(np.sum(gamma > 0)))
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((M, J)) * np.sqrt(gamma)
+    z = rng.standard_normal((M, gamma.size)) * np.sqrt(gamma)
     coeff, rkhs_norms = _unit_rows(z, gamma)
-    scores = eig.scores[:, :J]
-    radial = (scores - scores.mean(axis=0)) / gamma
+    radial = (eig.scores - eig.scores.mean(axis=0)) / gamma
     with np.errstate(all="ignore"):
         r_coeff, r_norms = _unit_rows(radial, gamma)
     # A zero or non-finite radial vector leaves a NaN or zero norm here.
     keep = np.isfinite(r_norms) & (r_norms > 0)
     return DirectionSet(
-        truncation=J,
         coefficients=np.vstack([coeff, r_coeff[keep]]),
         rkhs_norms=np.concatenate([rkhs_norms, r_norms[keep]]),
-        seed=seed,
         proposal_size=M,
     )
 
@@ -177,7 +168,7 @@ def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
     accepted = dirs.accepted(lam)
     if accepted.size == 0:
         raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
-    return accepted, scores[:, : dirs.truncation] @ dirs.coefficients[accepted].T
+    return accepted, scores @ dirs.coefficients[accepted].T
 
 
 def _lower_ranks(rows: np.ndarray, at: np.ndarray, values: np.ndarray):
@@ -246,16 +237,16 @@ def depth_from_scores(
     sample_scores: np.ndarray,
     eval_scores: np.ndarray,
 ) -> DepthResult:
-    """Approximate depth evaluated directly on score matrices.
+    """Approximate depth evaluated directly on score matrices, each with
+    one column per pool coordinate (the J of the pool's eigensystem).
 
     The depth at x is the minimum over accepted directions a of the
     fraction of sample rows S_i with S_i·a >= x·a.
     """
-    J = dirs.truncation
     accepted, projections = _accepted_projections(dirs, lam, sample_scores)
-    itself = np.array_equal(sample_scores[:, :J], eval_scores[:, :J])
+    itself = np.array_equal(sample_scores, eval_scores)
     min_counts, (points, columns) = _min_counts(
-        projections, None if itself else eval_scores[:, :J], dirs.coefficients[accepted]
+        projections, None if itself else eval_scores, dirs.coefficients[accepted]
     )
     del projections  # freed before the minimizing directions are sliced
     n = sample_scores.shape[0]

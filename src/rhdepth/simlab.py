@@ -71,10 +71,16 @@ def trigonometric_basis(points: np.ndarray, J0: int) -> np.ndarray:
 @functools.cache
 def _kl_setup(p: int, J0: int):
     """The uniform grid, the J0 basis rows on it and the eigenvalue tail sums."""
+    _require_truncation(J0)
     grid = make_uniform_grid(p)
     basis, gamma = trigonometric_basis(grid.points, J0), eigenvalue_tail_sums(J0)
     basis.flags.writeable = gamma.flags.writeable = False
     return grid, basis, gamma
+
+
+def _require_truncation(J0: int) -> None:
+    if J0 < 1:
+        raise ValueError(f"J0 must be at least 1, got {J0}")
 
 
 def _require_phase_truncation(J0: int) -> None:
@@ -235,8 +241,7 @@ class ScenarioSpec:
             raise ValueError(f"n_inliers must be at least 1, got {self.n_inliers}")
         if self.p < 2:
             raise ValueError(f"p must be at least 2, got {self.p}")
-        if self.J0 < 1:
-            raise ValueError(f"J0 must be at least 1, got {self.J0}")
+        _require_truncation(self.J0)
         if self.outlier_counts.get("phase"):
             _require_phase_truncation(self.J0)
         for kind, count in self.outlier_counts.items():

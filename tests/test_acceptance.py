@@ -65,7 +65,7 @@ def single_outlier_study():
             sample, labels = generate_scenario(spec)
             outlier_idx = labels.index(kind)
             eig = fit_fpca(sample, 6)
-            dirs = draw_directions(eig, 6, 1000, seed=2_000_000 + rep)
+            dirs = draw_directions(eig, 1000, seed=2_000_000 + rep)
 
             lam95 = resolve_lambda(RegularizationSpec.from_quantile(0.95), dirs)
             report = detect_outliers(eig, dirs, lam95, 3.0)
@@ -96,7 +96,7 @@ def test_criterion_1_degeneracy_of_unregularized_depth():
     sample = generate_inliers(500, seed=101, gaussian=True)
     n = sample.n
     eig = fit_fpca(sample, 10)
-    dirs = draw_directions(eig, 10, 2000, seed=102)
+    dirs = draw_directions(eig, 2000, seed=102)
 
     unreg = naive_tukey_depth(eig, dirs, sample).depths
     lam = resolve_lambda(RegularizationSpec.from_quantile(0.5), dirs)
@@ -131,7 +131,7 @@ def test_criterion_2_exact_lambda_monotonicity():
     for d in range(20):
         sample = generate_inliers(100, seed=200 + d)
         eig = fit_fpca(sample, 6)
-        dirs = draw_directions(eig, 6, 500, seed=300 + d)
+        dirs = draw_directions(eig, 500, seed=300 + d)
         depths = []
         for u in (0.5, 0.7, 0.9, 0.95):
             lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
@@ -154,9 +154,7 @@ def test_criterion_3_exact_oracle_equivalence_in_2d():
         z = pool_rng.standard_normal((10_000, 2)) * np.sqrt(gamma)
         coeff = z / np.linalg.norm(z, axis=1, keepdims=True)
         norms = np.sqrt((coeff**2 / gamma).sum(axis=1))
-        dirs = DirectionSet(
-            truncation=2, coefficients=coeff, rkhs_norms=norms, seed=900 + d
-        )
+        dirs = DirectionSet(coeff, norms, proposal_size=norms.size)
         lam = norms.max() + 1.0
         queries = rng.standard_normal((50, 2))
         approx = depth_from_scores(dirs, lam, points, queries).depths
@@ -181,7 +179,7 @@ def test_criterion_4_shift_and_scale_invariance():
     for d in range(10):
         sample = generate_inliers(80, seed=400 + d)
         eig = fit_fpca(sample, 6)
-        dirs = draw_directions(eig, 6, 500, seed=500 + d)
+        dirs = draw_directions(eig, 500, seed=500 + d)
         lam = resolve_lambda(RegularizationSpec.from_quantile(0.95), dirs)
         base = approximate_rhd(eig, dirs, lam, sample).depths
 
@@ -191,7 +189,7 @@ def test_criterion_4_shift_and_scale_invariance():
         for values in (sample.values + shift, scale * sample.values):
             other = FunctionalSample(sample.grid, values)
             eig2 = fit_fpca(other, 6)
-            dirs2 = draw_directions(eig2, 6, 500, seed=500 + d)
+            dirs2 = draw_directions(eig2, 500, seed=500 + d)
             lam2 = resolve_lambda(RegularizationSpec.from_quantile(0.95), dirs2)
             depths2 = approximate_rhd(eig2, dirs2, lam2, other).depths
             mismatches += int(not np.array_equal(base, depths2))
@@ -240,7 +238,7 @@ def test_criterion_6_detection_study(single_outlier_study):
             )
             sample, labels = generate_scenario(spec)
             eig = fit_fpca(sample, 6)
-            dirs = draw_directions(eig, 6, 1000, seed=4_000_000 + rep)
+            dirs = draw_directions(eig, 1000, seed=4_000_000 + rep)
             lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
             report = detect_outliers(eig, dirs, lam, 3.0)
             metrics = detection_metrics(report.flagged, labels)
@@ -279,7 +277,7 @@ def test_criterion_7_fence_factor_calibration():
     for _ in range(50):
         null = generate_inliers(400, seed=int(rng.integers(2**31)), gaussian=True)
         eig = fit_fpca(null, 6)
-        dirs = draw_directions(eig, 6, 1000, seed=int(rng.integers(2**31)))
+        dirs = draw_directions(eig, 1000, seed=int(rng.integers(2**31)))
         lam = resolve_lambda(spec95, dirs)
         report = detect_outliers(eig, dirs, lam, calib.factor)
         rates.append(len(report.flagged) / null.n)

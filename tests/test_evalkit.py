@@ -200,7 +200,7 @@ class TestRegularizedExact2dOracle:
         for r in range(5):
             sample = generate_inliers(100, seed=700 + r)
             eig = fit_fpca(sample, 2)
-            dirs = draw_directions(eig, 2, 1000, seed=800 + r)
+            dirs = draw_directions(eig, 1000, seed=800 + r)
             scores = eig.scores[:, :2]
             for u in (0.5, 0.95):
                 lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
@@ -289,7 +289,7 @@ class TestRocTable:
             )
             sample, labels = generate_scenario(spec)
             eig = fit_fpca(sample, J)
-            dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
+            dirs = draw_directions(eig, M, seed=int(rng.integers(2**63)))
             for u in u_grid:
                 lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
                 for f in factor_grid:

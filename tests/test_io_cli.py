@@ -118,6 +118,13 @@ class TestScenarioConfig:
         }
         assert spec.p == 50
 
+    def test_absent_sizes_take_the_spec_defaults(self, tmp_path):
+        bare, sized = tmp_path / "bare.cfg", tmp_path / "sized.cfg"
+        bare.write_text("n_inliers = 10\noutliers = jump\n")
+        sized.write_text("J0 = 15\nn_inliers = 10\noutliers = jump\np = 50\n")
+        spec = ScenarioSpec(n_inliers=10, outlier_counts={"jump": 1})
+        assert parse_scenario_config(str(bare)) == parse_scenario_config(str(sized)) == spec
+
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n_inliers = 10\nbogus = 3\n")
@@ -440,6 +447,8 @@ REPLAY_CASES = {
     "depth": ("depth", "depth --input {s} --J 3 --M 200 --u 0.9 --seed 3 --out {o}"),
     "depth-lambda-inf": ("depth", "depth --input {s} --J 3 --M 200 --lambda inf --seed 3 --out {o}"),
     "depth-eval": ("depth", "depth --input {s} --eval {e} --J 3 --M 200 --u 0.5 --seed 3 --out {o}"),
+    # No --seed: the seed comes from RHDEPTH_SEED.
+    "depth-env-seed": ("depth", "depth --input {s} --J 3 --M 200 --u 0.5 --out {o}"),
     "rank": ("depth", "rank --input {s} --J 3 --M 200 --u 0.9 --seed 3 --out {o}"),
     "outliers-factor": (
         "outliers",
@@ -459,8 +468,11 @@ REPLAY_CASES = {
 
 
 @pytest.mark.parametrize("case", REPLAY_CASES)
-def test_manifest_argv_replays_byte_identical(case, cli_files):
+def test_manifest_argv_replays_byte_identical(case, cli_files, monkeypatch):
     command, template = REPLAY_CASES[case]
+    env_seeded = case.endswith("env-seed")
+    if env_seeded:
+        monkeypatch.setenv("RHDEPTH_SEED", "5")
     assert run([token.format(**cli_files) for token in template.split()]) == 0
     out = cli_files["o"]
     outputs = [out, out + ".lab"] if command == "simulate" else [out]
@@ -469,10 +481,16 @@ def test_manifest_argv_replays_byte_identical(case, cli_files):
         manifest = json.load(handle)
     assert manifest["parameters"]["command"] == command
     assert set(manifest["parameters"]) == MANIFEST_KEYS[command]
-    for path in outputs:
-        os.unlink(path)
-    assert run(manifest["argv"]) == 0
-    assert [Path(path).read_bytes() for path in outputs] == first
+    # An env-seeded run replays with the variable unset and under another value.
+    for env in (None, "6") if env_seeded else (None,):
+        if env is None:
+            monkeypatch.delenv("RHDEPTH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RHDEPTH_SEED", env)
+        for path in outputs:
+            os.unlink(path)
+        assert run(manifest["argv"]) == 0
+        assert [Path(path).read_bytes() for path in outputs] == first
 
 
 @pytest.mark.parametrize("reg", [["--u", "0.5"], ["--lambda", "inf"], ["--lambda", "2.5"]])
@@ -948,6 +966,30 @@ def test_unreadable_long_field_gives_a_short_message(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "wide.csv" in err and "column 1" in err
     assert len(err) < 300 + len(str(path))
+
+
+_LONG = 100_000
+OVERSIZED_INPUTS = {
+    "bad-field": "0,0.5,1\n1,2," + "x" * _LONG + "\n1,2,3\n",
+    "unterminated-quote": '0,0.5,1\n1,2,"3\n' + "4,5,6\n" * 20_000,
+    "quoted-field": '0,0.5,1\n1,2,"' + "y" * _LONG + '"\n1,2,3\n',
+    "wide-row": "0,0.5,1\n" + ",".join(["1"] * _LONG) + "\n1,2,3\n",
+    "long-number": "0,0.5,1\n1,2," + "9" * _LONG + "\n1,2,3\n",
+    "long-grid-field": "0,0.5," + "z" * 50_000 + "\n1,2,3\n1,2,3\n",
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED_INPUTS)
+def test_oversized_input_gives_one_short_line(case, tmp_path, capsys):
+    # NumPy's reader quotes at most the first 100 characters of a field it
+    # cannot read, so no message needs shortening here.
+    path = tmp_path / f"{case}.csv"
+    path.write_text(OVERSIZED_INPUTS[case])
+    argv = ["depth", "--input", str(path), "--J", "1", "--u", "0.5", "--seed", "7"]
+    assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err
+    assert len(err.rstrip("\n")) - len(str(path)) <= 200
 
 
 @pytest.mark.filterwarnings("error")

@@ -32,7 +32,7 @@ from rhdepth.rhd import depth_from_scores
 
 def _fitted(sample, J=6, M=1000, u=0.5, seed=0):
     eig = fit_fpca(sample, J)
-    dirs = draw_directions(eig, J, M, seed)
+    dirs = draw_directions(eig, M, seed)
     lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
     return eig, dirs, lam
 
@@ -45,7 +45,7 @@ def _reference_fences(eig, dirs, lam, factor):
     result = depth_from_scores(dirs, lam, eig.scores, eig.scores)
     candidates = np.flatnonzero(result.depths == result.depths.min())
     accepted = dirs.accepted(lam)
-    projections = eig.scores[:, : dirs.truncation] @ dirs.coefficients[accepted].T
+    projections = eig.scores @ dirs.coefficients[accepted].T
     records, flagged = [], set()
     for i0 in candidates:
         for m in result.minimizing_directions[i0]:
@@ -238,7 +238,7 @@ class TestBatchedFencesMatchPerPairReference:
                     z = rng.standard_normal((sample.n, J))
                     values = eig.mean + (z * np.sqrt(eig.eigenvalues)) @ eig.eigenfunctions
                     null_eig = fit_fpca(FunctionalSample(sample.grid, values), J)
-                    null_dirs = draw_directions(null_eig, J, M, seed=int(rng.integers(2**63)))
+                    null_dirs = draw_directions(null_eig, M, seed=int(rng.integers(2**63)))
                     null_lam = resolve_lambda(spec, null_dirs)
                     per_dataset.append(
                         [
@@ -253,7 +253,7 @@ class TestBatchedFencesMatchPerPairReference:
 def _sweep_pool(sample, J, M, seed):
     """The eigensystem and pool flag_sweep builds from default_rng(seed)."""
     eig = fit_fpca(sample, J)
-    return eig, draw_directions(eig, J, M, seed=int(np.random.default_rng(seed).integers(2**63)))
+    return eig, draw_directions(eig, M, seed=int(np.random.default_rng(seed).integers(2**63)))
 
 
 def test_fence_path_makes_no_count_kernel_call(monkeypatch):
@@ -397,7 +397,7 @@ class TestCandidateFencesMatchMaskReference:
         counts = {"magnitude": 1, "jump": 1, "wiggle": 1, "linear": 1}
         spec = ScenarioSpec(n_inliers=200, outlier_counts=counts, seed=3_000_000 + rep)
         eig = fit_fpca(generate_scenario(spec)[0], 6)
-        dirs = draw_directions(eig, 6, 1000, seed=4_000_000 + rep)
+        dirs = draw_directions(eig, 1000, seed=4_000_000 + rep)
         lams = [resolve_lambda(RegularizationSpec.from_quantile(u), dirs) for u in self.U_GRID]
         _assert_fences_match_reference(eig, dirs, lams)
 
@@ -431,7 +431,7 @@ class TestCandidateFencesMatchMaskReference:
             eig = dataclasses.replace(eig, scores=scores)
             coeff = rng.integers(-2, 3, size=(k, 3)).astype(float)
             coeff[~coeff.any(axis=1)] = 1.0
-        dirs = DirectionSet(3, coeff, rng.permutation(k) + 1.0, seed=0)
+        dirs = DirectionSet(coeff, rng.permutation(k) + 1.0, proposal_size=k)
         _assert_fences_match_reference(eig, dirs, [np.inf, k / 2 + 0.5, 1.0])
 
     def test_holds_no_sorted_block_past_its_turn(self):
@@ -457,7 +457,7 @@ def _reference_flag_sweep(sample, J, M, rng, specs, factors):
     """flag_sweep in its earlier form: per lambda, a loop over the factors,
     each with its own fences and compare on the same quartiles."""
     eig = fit_fpca(sample, J)
-    dirs = draw_directions(eig, J, M, seed=int(rng.integers(2**63)))
+    dirs = draw_directions(eig, M, seed=int(rng.integers(2**63)))
     lams = [resolve_lambda(spec, dirs) for spec in specs]
     projections, per_lambda = _candidate_fences(eig, dirs, lams)
     sweep = []

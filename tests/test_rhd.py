@@ -39,48 +39,44 @@ def _toy_eigensystem(eigenvalues, scores=None):
     )
 
 
-def _pool(coefficients, eigenvalues, seed=0):
+def _pool(coefficients, eigenvalues):
+    """An all-proposal pool of the given directions."""
     coefficients = np.atleast_2d(np.asarray(coefficients, dtype=float))
     gamma = np.asarray(eigenvalues, dtype=float)
     norms = np.sqrt((coefficients**2 / gamma).sum(axis=1))
-    return DirectionSet(
-        truncation=coefficients.shape[1],
-        coefficients=coefficients,
-        rkhs_norms=norms,
-        seed=seed,
-    )
+    return DirectionSet(coefficients, norms, proposal_size=coefficients.shape[0])
 
 
 class TestDrawDirections:
     def test_one_dimensional_pool(self):
         eig = _toy_eigensystem([0.25])
-        dirs = draw_directions(eig, 1, 50, seed=1)
+        dirs = draw_directions(eig, 50, seed=1)
         assert set(np.unique(dirs.coefficients)) <= {-1.0, 1.0}
         assert np.allclose(dirs.rkhs_norms, 1.0 / np.sqrt(0.25))
 
     def test_unit_vectors(self):
         eig = _toy_eigensystem([2.0, 0.5, 0.1])
-        dirs = draw_directions(eig, 3, 200, seed=2)
+        dirs = draw_directions(eig, 200, seed=2)
         assert np.allclose(np.linalg.norm(dirs.coefficients, axis=1), 1.0)
 
     def test_equal_eigenvalues_uniform_on_circle(self):
         # isotropic proposal: the empirical mean direction is O(M^{-1/2})
         eig = _toy_eigensystem([0.7, 0.7])
         M = 100_000
-        dirs = draw_directions(eig, 2, M, seed=3)
+        dirs = draw_directions(eig, M, seed=3)
         assert np.abs(dirs.coefficients.mean(axis=0)).max() < 4.0 / np.sqrt(M)
 
     def test_seed_determinism(self):
         eig = _toy_eigensystem([1.0, 0.5])
-        a = draw_directions(eig, 2, 1000, seed=9)
-        b = draw_directions(eig, 2, 1000, seed=9)
+        a = draw_directions(eig, 1000, seed=9)
+        b = draw_directions(eig, 1000, seed=9)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.rkhs_norms, b.rkhs_norms)
 
     def test_proposal_rows_are_the_anisotropic_draw(self):
         s = generate_inliers(50, seed=21)
         eig = fit_fpca(s, 4)
-        dirs = draw_directions(eig, 4, 300, seed=22)
+        dirs = draw_directions(eig, 300, seed=22)
         gamma = eig.eigenvalues[:4]
         z = np.random.default_rng(22).standard_normal((300, 4)) * np.sqrt(gamma)
         assert dirs.proposal_size == 300
@@ -92,7 +88,7 @@ class TestDrawDirections:
     def test_data_directions_are_whitened_radial(self):
         s = generate_inliers(50, seed=21)
         eig = fit_fpca(s, 4)
-        dirs = draw_directions(eig, 4, 300, seed=22)
+        dirs = draw_directions(eig, 300, seed=22)
         scores = eig.scores[:, :4]
         radial = (scores - scores.mean(axis=0)) / eig.eigenvalues[:4]
         radial /= np.linalg.norm(radial, axis=1, keepdims=True)
@@ -105,36 +101,25 @@ class TestDrawDirections:
     def test_zero_radial_vectors_dropped(self):
         # the third curve sits at the score mean; the one-row toy has no spread
         eig = _toy_eigensystem([1.0, 0.5], scores=[[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
-        dirs = draw_directions(eig, 2, 40, seed=23)
+        dirs = draw_directions(eig, 40, seed=23)
         assert dirs.size == 42
         assert not np.isnan(dirs.coefficients).any()
         assert not np.isnan(dirs.rkhs_norms).any()
         res = depth_from_scores(dirs, np.inf, eig.scores, eig.scores)
         assert res.depths.min() >= 1.0 / 3
-        one_row = draw_directions(_toy_eigensystem([1.0, 0.5]), 2, 40, seed=23)
+        one_row = draw_directions(_toy_eigensystem([1.0, 0.5]), 40, seed=23)
         assert one_row.size == one_row.proposal_size == 40
 
     def test_proposal_size_checked(self):
         with pytest.raises(ValueError):
-            DirectionSet(1, np.ones((3, 1)), np.ones(3), seed=0, proposal_size=4)
-
-    def test_truncation_beyond_rank_rejected(self):
-        s = generate_inliers(20, seed=0)
-        eig = fit_fpca(s, 3)
-        with pytest.raises(ValueError):
-            draw_directions(eig, 4, 10, seed=0)
+            DirectionSet(np.ones((3, 1)), np.ones(3), proposal_size=4)
 
 
 class TestResolveLambda:
     @staticmethod
     def _pool_with_norms(norms):
         norms = np.asarray(norms, dtype=float)
-        return DirectionSet(
-            truncation=1,
-            coefficients=np.ones((norms.size, 1)),
-            rkhs_norms=norms,
-            seed=0,
-        )
+        return DirectionSet(np.ones((norms.size, 1)), norms, proposal_size=norms.size)
 
     def test_median_of_four(self):
         dirs = self._pool_with_norms([3.0, 1.0, 4.0, 2.0])
@@ -157,7 +142,7 @@ class TestResolveLambda:
     def test_quantile_ignores_data_directions(self):
         s = generate_inliers(60, seed=24)
         eig = fit_fpca(s, 5)
-        dirs = draw_directions(eig, 5, 400, seed=25)
+        dirs = draw_directions(eig, 400, seed=25)
         for u in (0.1, 0.5, 0.95, 0.9999):
             lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
             k = int(np.ceil(u * 400))
@@ -213,7 +198,7 @@ class TestDepth:
         # a sample point always lies in its own closed halfspace
         s = generate_inliers(50, seed=11)
         eig = fit_fpca(s, 4)
-        dirs = draw_directions(eig, 4, 300, seed=12)
+        dirs = draw_directions(eig, 300, seed=12)
         lam = resolve_lambda(RegularizationSpec.from_quantile(0.95), dirs)
         res = approximate_rhd(eig, dirs, lam, s)
         assert res.depths.min() >= 1.0 / s.n
@@ -222,7 +207,7 @@ class TestDepth:
     def test_naive_equals_full_pool(self):
         s = generate_inliers(40, seed=13)
         eig = fit_fpca(s, 3)
-        dirs = draw_directions(eig, 3, 200, seed=14)
+        dirs = draw_directions(eig, 200, seed=14)
         lam = dirs.rkhs_norms.max()
         full = approximate_rhd(eig, dirs, lam, s)
         naive = naive_tukey_depth(eig, dirs, s)
@@ -231,16 +216,11 @@ class TestDepth:
     def test_depths_nonincreasing_in_nested_pools(self):
         s = generate_inliers(60, seed=15)
         eig = fit_fpca(s, 4)
-        big = draw_directions(eig, 4, 2000, seed=16)
+        big = draw_directions(eig, 2000, seed=16)
         lam = big.rkhs_norms.max() + 1.0
         prev = None
         for M in (100, 500, 2000):
-            sub = DirectionSet(
-                truncation=4,
-                coefficients=big.coefficients[:M],
-                rkhs_norms=big.rkhs_norms[:M],
-                seed=16,
-            )
+            sub = DirectionSet(big.coefficients[:M], big.rkhs_norms[:M], proposal_size=M)
             depths = approximate_rhd(eig, sub, lam, s).depths
             if prev is not None:
                 assert np.all(depths <= prev)
@@ -251,9 +231,7 @@ class TestDepth:
     def test_lambda_monotonicity_property(self, seed):
         rng = np.random.default_rng(seed)
         sample = rng.standard_normal((30, 3))
-        dirs = _pool(
-            rng.standard_normal((80, 3)), rng.uniform(0.1, 2.0, size=3), seed=seed
-        )
+        dirs = _pool(rng.standard_normal((80, 3)), rng.uniform(0.1, 2.0, size=3))
         norms = np.sort(dirs.rkhs_norms)
         lam1, lam2 = norms[20], norms[60]
         d1 = depth_from_scores(dirs, lam1, sample, sample).depths
@@ -263,7 +241,7 @@ class TestDepth:
     def test_accepted_count_reported(self):
         s = generate_inliers(30, seed=17)
         eig = fit_fpca(s, 3)
-        dirs = draw_directions(eig, 3, 400, seed=18)
+        dirs = draw_directions(eig, 400, seed=18)
         lam = resolve_lambda(RegularizationSpec.from_quantile(0.7), dirs)
         res = approximate_rhd(eig, dirs, lam, s)
         assert res.accepted_count == int((dirs.rkhs_norms <= lam).sum())
@@ -429,7 +407,7 @@ class TestCountKernel:
         sample, eval_scores, coeff = _kernel_case("ties_eval", _COUNT_BLOCK + 1)
         # about half the pool accepted, at scattered indices
         norms = np.random.default_rng(0).permutation(coeff.shape[0]) + 1.0
-        dirs = DirectionSet(1, coeff, norms, seed=0)
+        dirs = DirectionSet(coeff, norms, proposal_size=norms.size)
         lam = float(coeff.shape[0] // 2)
         accepted = dirs.accepted(lam)
         res = depth_from_scores(dirs, lam, sample, eval_scores)

@@ -196,6 +196,17 @@ class TestScenario:
         spec = ScenarioSpec(n_inliers=10, outlier_counts={"phase": 1}, J0=9)
         assert generate_scenario(spec)[0].n == 11
 
+    @pytest.mark.parametrize("J0", [0, -1])
+    def test_generators_refuse_an_empty_truncation(self, J0):
+        # the generators give ScenarioSpec's message, not an IndexError from the basis
+        message = f"^J0 must be at least 1, got {J0}$"
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(n_inliers=10, J0=J0)
+        with pytest.raises(ValueError, match=message):
+            generate_inliers(5, seed=0, J0=J0)
+        with pytest.raises(ValueError, match=message):
+            generate_outlier("jump", seed=0, J0=J0)
+
 
 def _fresh_kl_setup(p, J0):
     """The grid, basis and tail sums built anew on each call."""
