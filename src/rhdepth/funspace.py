@@ -126,6 +126,15 @@ class EigenSystem:
         object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues))
         object.__setattr__(self, "eigenfunctions", _frozen_array(self.eigenfunctions))
         object.__setattr__(self, "scores", _frozen_array(self.scores))
+        J, p = self.eigenvalues.size, len(self.grid)
+        if J < 1:
+            raise ValueError("an eigensystem needs at least one eigenvalue")
+        n = np.atleast_1d(self.scores).shape[0]
+        expected = {"eigenvalues": (J,), "eigenfunctions": (J, p), "mean": (p,), "scores": (n, J)}
+        for name, shape in expected.items():
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape} for J={J}, p={p}")
 
     @property
     def truncation(self) -> int:

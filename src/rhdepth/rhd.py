@@ -4,6 +4,9 @@ One direction pool is drawn per analysis and reused for every value of the
 regularization parameter: the constraint is applied by filtering directions
 on their RKHS norm at depth time, which makes depth exactly nonincreasing
 in lambda.
+
+Only this module reads the sorted blocks of the sample projections: the
+count kernel, and `_candidate_fences` for the fences' pairs and quartiles.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ class DirectionSet:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _frozen_array(self.coefficients))
         object.__setattr__(self, "rkhs_norms", _frozen_array(self.rkhs_norms))
+        coeff, norms = self.coefficients.shape, self.rkhs_norms.shape
+        if len(coeff) != 2 or coeff[1] < 1 or norms != coeff[:1]:
+            raise ValueError(
+                f"coefficients {coeff} and rkhs_norms {norms} must be (m, J), J >= 1, and (m,)"
+            )
         if not 1 <= self.proposal_size <= self.size:
             raise ValueError(f"proposal_size must be in [1, {self.size}]")
 
@@ -142,8 +150,8 @@ def resolve_lambda(spec: RegularizationSpec, dirs: DirectionSet) -> float:
 # Directions per full block of the count kernel, whose temporaries are a few
 # (q, block) and (block, n) arrays beside its records of counted pairs. The
 # blocks before it hold 1, 2, 4, ... directions, so the kernel's bound is
-# tight before the wide blocks run. The kernel and the fences (outlier.py)
-# read the same sorted blocks.
+# tight before the wide blocks run. The kernel and `_candidate_fences` read
+# the same sorted blocks.
 _COUNT_BLOCK = 64
 
 
@@ -169,6 +177,61 @@ def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
     if accepted.size == 0:
         raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
     return accepted, scores @ dirs.coefficients[accepted].T
+
+
+def _sorted_quartiles(rows: np.ndarray):
+    """Q1 and Q3 of each sorted row, equal bit for bit to NumPy's linear
+    percentile: at virtual index (n-1)q it lerps a + (b-a)t between the
+    order statistics around it, or b - (b-a)(1-t) when t >= 0.5."""
+    n = rows.shape[1]
+    quartiles = []
+    for q in (0.25, 0.75):
+        g = (n - 1) * q
+        lo = int(g)
+        t = g - lo
+        a, b = rows[:, lo], rows[:, min(lo + 1, n - 1)]
+        diff = b - a
+        quartiles.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return quartiles
+
+
+def _column_tops(_, rows, tops):
+    """Q1, Q3, the top value, the first row at the top and whether the top
+    is tied, per column of one sorted block. The top value is a copy: a view
+    would keep the whole block. A function, not a generator expression, so
+    that no loop variable holds a block while the next one is copied."""
+    return (*_sorted_quartiles(rows), rows[:, -1].copy(), tops, rows[:, -2] == rows[:, -1])
+
+
+def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lams):
+    """The sample projections on the directions accepted at the largest
+    lambda (n, k) and, per lambda, its (candidate, minimizing direction)
+    pairs, candidates ascending and then directions ascending: candidates,
+    columns (each a direction whose norm that lambda accepts), pool
+    directions, and (Q1, Q3) of those columns, all off the sorted blocks.
+    No count kernel runs: a direction's smallest count #{i : p_i >= p_j} is
+    its top tie run, so the candidates are the curves on top of the
+    directions with the shortest run; only a tied column's run is counted."""
+    accepted, projections = _accepted_projections(dirs, max(lams, default=np.inf), eig.scores)
+    per_block = itertools.starmap(_column_tops, _sorted_blocks(projections))
+    q1, q3, top, tops, tied = map(np.hstack, zip(*per_block))
+    runs = np.ones(top.size, dtype=np.intp)
+    runs[tied] = (projections[:, tied] == top[tied]).sum(axis=0)
+    per_lambda = []
+    for lam in lams:
+        kept = dirs.rkhs_norms[accepted] <= lam
+        if not kept.any():
+            raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
+        columns = np.flatnonzero(kept & (runs == runs[kept].min()))
+        if runs[columns[0]] == 1:
+            owners = tops[columns]
+        else:
+            owners, at = np.nonzero(projections[:, columns] == top[columns])
+            columns = columns[at]
+        order = np.argsort(owners, kind="stable")  # point-major, columns ascending
+        owners, columns = owners[order], columns[order]
+        per_lambda.append((owners, columns, accepted[columns], (q1[columns], q3[columns])))
+    return projections, per_lambda
 
 
 def _lower_ranks(rows: np.ndarray, at: np.ndarray, values: np.ndarray):

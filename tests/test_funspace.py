@@ -1,11 +1,14 @@
 """Grids, inner products, and FPCA."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhdepth import (
+    EigenSystem,
     FunctionalSample,
     Grid,
     RankError,
@@ -109,6 +112,48 @@ class TestFunctionalSample:
         g = make_uniform_grid(5)
         s = FunctionalSample(g, np.zeros(5))
         assert s.n == 1
+
+
+class TestEigenSystemShapes:
+    """A hand-built eigensystem whose arrays disagree on J or on the grid
+    size p is refused when it is built, with the array named, rather than
+    later in draw_directions or project with a bare NumPy message."""
+
+    GOOD = {
+        "mean": np.zeros(3),
+        "eigenvalues": np.array([2.0, 1.0]),
+        "eigenfunctions": np.zeros((2, 3)),
+        "scores": np.zeros((4, 2)),
+    }
+
+    @pytest.mark.parametrize(
+        "name, value, shape",
+        [
+            ("eigenvalues", np.ones((1, 2)), "(1, 2), expected (2,)"),
+            # more eigenfunctions than eigenvalues: a broadcast error in draw_directions
+            ("eigenfunctions", np.zeros((3, 2)), "(3, 2), expected (2, 3)"),
+            # passes draw_directions, then fails in project
+            ("eigenfunctions", np.zeros((2, 5)), "(2, 5), expected (2, 3)"),
+            ("mean", np.zeros(5), "(5,), expected (3,)"),
+            ("scores", np.zeros((4, 3)), "(4, 3), expected (4, 2)"),
+            ("scores", np.zeros(4), "(4,), expected (4, 2)"),
+        ],
+    )
+    def test_mismatch_refused(self, name, value, shape):
+        message = f"{name} has shape {shape} for J=2, p=3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EigenSystem(grid=make_uniform_grid(3), usable_rank=2, **{**self.GOOD, name: value})
+
+    def test_no_eigenvalue_refused(self):
+        with pytest.raises(ValueError, match="^an eigensystem needs at least one eigenvalue$"):
+            EigenSystem(
+                grid=make_uniform_grid(3),
+                mean=np.zeros(3),
+                eigenvalues=np.zeros(0),
+                eigenfunctions=np.zeros((0, 3)),
+                scores=np.zeros((4, 0)),
+                usable_rank=0,
+            )
 
 
 class TestFpca:

@@ -26,8 +26,8 @@ from rhdepth import (
 )
 from rhdepth import rhd
 from rhdepth.errors import EmptyPoolError
-from rhdepth.outlier import FenceRecord, _candidate_fences, _sorted_quartiles, flag_sweep
-from rhdepth.rhd import depth_from_scores
+from rhdepth.outlier import FenceRecord, flag_sweep
+from rhdepth.rhd import _candidate_fences, _sorted_quartiles, depth_from_scores
 
 
 def _fitted(sample, J=6, M=1000, u=0.5, seed=0):
@@ -321,7 +321,6 @@ def test_sweep_projects_once_for_all_lambdas(monkeypatch):
 
     original = rhd._accepted_projections
     monkeypatch.setattr("rhdepth.rhd._accepted_projections", counted)
-    monkeypatch.setattr("rhdepth.outlier._accepted_projections", counted)
     specs = [RegularizationSpec.from_quantile(u) for u in (0.5, 0.7, 0.9, 0.95)]
     rng = np.random.default_rng(306)
     sweep = flag_sweep(_contaminated(60, 305), 4, 200, rng, specs, FACTOR_GRID)
@@ -341,7 +340,6 @@ def test_detect_outliers_projects_once(monkeypatch):
 
     original = rhd._accepted_projections
     monkeypatch.setattr("rhdepth.rhd._accepted_projections", counted)
-    monkeypatch.setattr("rhdepth.outlier._accepted_projections", counted)
     report = detect_outliers(eig, dirs, lam, 3.0)
     assert len(calls) == 1
     assert np.array_equal(report.depths, expected) and not report.depths.flags.writeable

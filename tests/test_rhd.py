@@ -1,5 +1,6 @@
 """Direction pools, lambda resolution, and approximate depth."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,16 +13,18 @@ from rhdepth import (
     EigenSystem,
     EmptyPoolError,
     RegularizationSpec,
+    ScenarioSpec,
     approximate_rhd,
     draw_directions,
+    generate_scenario,
     make_uniform_grid,
     naive_tukey_depth,
     resolve_lambda,
 )
 from rhdepth.funspace import fit_fpca
-from rhdepth.outlier import _sorted_quartiles, detect_outliers
+from rhdepth.outlier import detect_outliers
 from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _accepted_projections, _min_counts
-from rhdepth.rhd import _sorted_blocks, depth_from_scores
+from rhdepth.rhd import _sorted_blocks, _sorted_quartiles, depth_from_scores
 from rhdepth.simlab import generate_inliers
 
 
@@ -113,6 +116,26 @@ class TestDrawDirections:
     def test_proposal_size_checked(self):
         with pytest.raises(ValueError):
             DirectionSet(np.ones((3, 1)), np.ones(3), proposal_size=4)
+
+    @pytest.mark.parametrize(
+        "coefficients, norms",
+        [
+            # more rows than norms: the depth would count over rows 0-2 only
+            (np.ones((5, 2)) / np.sqrt(2), np.ones(3)),
+            # more norms than rows: an IndexError at depth time
+            (np.ones((3, 2)) / np.sqrt(2), np.ones(5)),
+            (np.ones(3), np.ones(3)),
+            (np.ones((3, 0)), np.ones(3)),
+            (np.ones((3, 1)), np.ones((3, 1))),
+        ],
+    )
+    def test_shapes_checked(self, coefficients, norms):
+        message = (
+            f"coefficients {coefficients.shape} and rkhs_norms {norms.shape} "
+            "must be (m, J), J >= 1, and (m,)"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DirectionSet(coefficients, norms, proposal_size=2)
 
 
 class TestResolveLambda:
@@ -247,6 +270,34 @@ class TestDepth:
         assert res.accepted_count == int((dirs.rkhs_norms <= lam).sum())
         assert res.lambda_used == lam
         assert res.n == 30
+
+
+class TestMonotoneFromTheCenter:
+    """Monotonicity relative to the deepest point, a property of the paper's
+    depth: on a sample symmetric about 0, D(x/2) >= min(D(0), D(x)). An
+    upper level set of a pool depth is an intersection of halfspaces, and
+    halving is exact in floating point, so the comparison is exact. The
+    center need not be the deepest point of a pool depth, so that is not
+    asserted."""
+
+    def test_halfway_to_the_center_is_no_shallower(self):
+        spec = ScenarioSpec(n_inliers=400, outlier_counts={"magnitude": 1}, seed=3)
+        eig = fit_fpca(generate_scenario(spec)[0], 6)
+        dirs = draw_directions(eig, 1000, seed=7)
+        centered = eig.scores - eig.scores.mean(axis=0)
+        sample = np.vstack([centered, -centered])
+        spread = 2 * sample.std(axis=0) * np.random.default_rng(3).standard_normal((400, 6))
+        points, center = np.vstack([sample, spread]), np.zeros((1, 6))
+        q = points.shape[0]
+        specs = [RegularizationSpec.from_quantile(u) for u in (0.005, 0.5, 0.95)]
+        for lam in [*(resolve_lambda(spec, dirs) for spec in specs), np.inf]:
+            # the points passed together, then one evaluation call each
+            together = depth_from_scores(dirs, lam, sample, np.vstack([center, points, points / 2]))
+            separately = [
+                depth_from_scores(dirs, lam, sample, x).depths for x in (center, points, points / 2)
+            ]
+            for d0, dx, dhalf in (np.split(together.depths, [1, q + 1]), separately):
+                assert np.all(dhalf >= np.minimum(d0, dx))
 
 
 def _reference_min_counts(sample_scores, eval_scores, coeff):
