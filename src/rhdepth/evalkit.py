@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._parallel import parallel_map
-from .funspace import _frozen_array
+from .funspace import _frozen_array, fit_fpca
 from .outlier import FACTOR_GRID, flag_sweep
 from .rhd import RegularizationSpec
 from .simlab import ScenarioSpec, generate_scenario
@@ -136,7 +136,7 @@ def roc_table(
         """(p_c, p_f) per (u, f), u-major, on one scenario: its seed, then the pool."""
         rng = np.random.default_rng(child)
         sample, labels = generate_scenario(replace(spec, seed=int(rng.integers(2**63))))
-        sweep = flag_sweep(sample, J, M, rng, specs, factor_grid)
+        sweep = flag_sweep(fit_fpca(sample, J), M, rng, specs, factor_grid)
         metrics = [detection_metrics(flagged, labels) for row in sweep for flagged in row]
         return [(m.p_c, m.p_f) for m in metrics]
 

@@ -5,7 +5,9 @@ weighted sum with the trapezoidal quadrature weights the grid derives. The
 sample covariance operator's eigenpairs come from one thin SVD of the
 centered curves scaled by the square roots of the weights, at a cost of
 O(n p min(n, p)) whichever of n and p is larger; the SVD also avoids the
-squared condition number of a covariance or Gram matrix.
+squared condition number of a covariance or Gram matrix. Curves that lie in
+a fitted mean plus the span of its J eigenfunctions, as Gaussian null data
+does, take the same SVD on their n x J coordinates instead.
 """
 
 from __future__ import annotations
@@ -156,21 +158,43 @@ def _scores(values, eigenfunctions, weights) -> np.ndarray:
 
 def usable_rank(sample: FunctionalSample) -> int:
     """Number of strictly positive eigenvalues of the sample covariance."""
-    return _thin_svd(sample)[3]
+    return _grid_svd(sample)[3]
 
 
-def _thin_svd(sample: FunctionalSample):
-    """Mean, descending eigenvalues, eigenvectors in sqrt(w) coordinates
-    (rows of vt), and usable rank, from one thin SVD of the weighted data."""
-    w = sample.grid.weights
-    mean = sample.values.mean(axis=0)
-    _, s, vt = np.linalg.svd((sample.values - mean) * np.sqrt(w), full_matrices=False)
-    eigvals = s**2 / sample.n
+def _thin_svd(centered: np.ndarray):
+    """Descending eigenvalues and eigenvectors (rows of vt) from one thin
+    SVD of n centered rows of coordinates in a w-orthonormal basis:
+    sqrt(w)-scaled grid values, or coordinates on fitted eigenfunctions."""
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    return s**2 / centered.shape[0], vt
+
+
+def _usable_rank(eigvals: np.ndarray, energy: float) -> int:
+    """Eigenvalues above the rank floor. energy is the data's mean weighted
+    square over the p grid points: the mean over the curves of
+    ||x_i||_w^2 / p."""
     # Rank floor also in the data's own squared scale: centering residuals of
     # a constant sample leave eigenvalues ~1e-32 that must not count as rank.
-    scale = max(eigvals[0], float(np.mean((sample.values * np.sqrt(w)) ** 2)))
+    scale = max(eigvals[0], energy)
     floor = max(scale * RANK_RTOL, _EIGVAL_FLOOR)
-    return mean, eigvals, vt, int(np.sum(eigvals > floor))
+    return int(np.sum(eigvals > floor))
+
+
+def _grid_svd(sample: FunctionalSample):
+    """Mean, eigenvalues, eigenvectors in sqrt(w) coordinates and usable
+    rank, from the thin SVD of the curves' sqrt(w)-scaled grid values."""
+    root_w = np.sqrt(sample.grid.weights)
+    mean = sample.values.mean(axis=0)
+    eigvals, vt = _thin_svd((sample.values - mean) * root_w)
+    energy = float(np.mean((sample.values * root_w) ** 2))
+    return mean, eigvals, vt, _usable_rank(eigvals, energy)
+
+
+def _sign_rule(phi: np.ndarray) -> np.ndarray:
+    """+1 or -1 per eigenfunction (row of phi on the grid), so that its
+    largest-magnitude grid coordinate becomes positive."""
+    lead = np.abs(phi).argmax(axis=1)
+    return np.sign(phi[np.arange(phi.shape[0]), lead])
 
 
 def fit_fpca(sample: FunctionalSample, J: int) -> EigenSystem:
@@ -187,22 +211,53 @@ def fit_fpca(sample: FunctionalSample, J: int) -> EigenSystem:
     if J > min(sample.n - 1, len(sample.grid)):
         raise ValueError(f"J={J} exceeds min(n-1, p)={min(sample.n - 1, len(sample.grid))}")
 
-    mean, eigvals, vt, rank = _thin_svd(sample)
+    mean, eigvals, vt, rank = _grid_svd(sample)
     if J > rank:
         raise RankError(J, rank)
-
     phi = vt[:J] / np.sqrt(sample.grid.weights)
-
-    # Deterministic sign: the largest-magnitude coordinate is positive.
-    lead = np.abs(phi).argmax(axis=1)
-    signs = np.sign(phi[np.arange(J), lead])
-    phi = phi * signs[:, None]
-
+    phi = phi * _sign_rule(phi)[:, None]
     return EigenSystem(
         grid=sample.grid,
         mean=mean,
         eigenvalues=eigvals[:J],
         eigenfunctions=phi,
         scores=_scores(sample.values, phi, sample.grid.weights),
+        usable_rank=rank,
+    )
+
+
+def fit_fpca_coordinates(basis: EigenSystem, coords) -> EigenSystem:
+    """fit_fpca of the n curves basis.mean + coords @ basis.eigenfunctions,
+    with J = basis.truncation, without building them on the grid.
+
+    The curves lie in the mean plus the span of the J w-orthonormal
+    eigenfunctions, so their FPCA is the thin SVD of the centered n x J
+    coordinates, the same SVD path that fit_fpca runs on grid values: the
+    eigenvalues are s^2/n, the eigenfunctions V^T phi under fit_fpca's sign
+    rule, and the scores (m0 + coords) V, where m0 holds the mean's
+    coordinates <basis.mean, phi_j>_w. The rank floor reads each curve's
+    squared norm as ||mean||_w^2 + 2 m0.x_i + ||x_i||^2. A Gaussian null
+    dataset of the fitted sample is such a sample.
+    """
+    coords = np.asarray(coords, dtype=float)
+    J = coords.shape[1]
+    if J != basis.truncation:
+        raise ValueError(f"coordinates have {J} columns, the basis has {basis.truncation}")
+    w, phi = basis.grid.weights, basis.eigenfunctions
+    m0 = _scores(basis.mean, phi, w)
+    center = coords.mean(axis=0)
+    eigvals, vt = _thin_svd(coords - center)
+    energy = float(np.sum(w * basis.mean**2)) + 2 * (coords @ m0) + np.sum(coords**2, axis=1)
+    rank = _usable_rank(eigvals, float(np.mean(energy)) / len(basis.grid))
+    if J > rank:
+        raise RankError(J, rank)
+    psi = vt @ phi
+    signs = _sign_rule(psi)
+    return EigenSystem(
+        grid=basis.grid,
+        mean=basis.mean + center @ phi,
+        eigenvalues=eigvals,
+        eigenfunctions=psi * signs[:, None],
+        scores=(m0 + coords) @ (vt.T * signs),
         usable_rank=rank,
     )

@@ -17,11 +17,11 @@ to every curve, for the records, and runs the count kernel's self pass
 (its defaults) once, on the same product, for the depths.
 
 `flag_sweep` is the replicate step of both simulation studies (a
-calibration null dataset, a ROC replicate in `evalkit.roc_table`): fit,
-one direction pool seeded from the caller's RNG, one projection product
-and sort at the largest lambda, whose columns every lambda reads, and
-per lambda one fence call and one compare of the candidates' rows for
-all factors, which form one array axis.
+calibration null dataset, a ROC replicate in `evalkit.roc_table`): on a
+fitted eigensystem, one direction pool seeded from the caller's RNG, one
+projection product and sort at the largest lambda, whose columns every
+lambda reads, and per lambda one fence call and one compare of the
+candidates' rows for all factors, which form one array axis.
 
 The factor f is calibrated on Gaussian null data matching the input's
 empirical mean and covariance, targeting a 0.7% flagged proportion.
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import parallel_map
-from .funspace import EigenSystem, FunctionalSample, _frozen_array, fit_fpca
+from .funspace import EigenSystem, _frozen_array, fit_fpca_coordinates
 from .rhd import DirectionSet, RegularizationSpec, _candidate_fences, _min_counts
 from .rhd import draw_directions, resolve_lambda
 
@@ -100,16 +100,15 @@ def _fences(rows, columns, q1, q3, factors):
     return iqr, lower, upper, (rows < lo) | (rows > hi)
 
 
-def flag_sweep(sample: FunctionalSample, J: int, M: int, rng, specs, factors) -> list:
+def flag_sweep(eig: EigenSystem, M: int, rng, specs, factors) -> list:
     """One simulation replicate: per spec, the flagged curves for each factor.
 
-    Fits FPCA to the sample and draws one direction pool, seeded from the
+    Draws one direction pool on the fitted eigensystem, seeded from the
     next draw of the numpy Generator rng, which every spec's lambda shares.
     The factors are one array axis: per spec, one fence call gives every
     factor's fences on the same quartiles, and one compare tests the
     candidates, the only curves tested, against all of them.
     """
-    eig = fit_fpca(sample, J)
     dirs = draw_directions(eig, M, seed=int(rng.integers(2**63)))
     lams = [resolve_lambda(spec, dirs) for spec in specs]
     projections, per_lambda = _candidate_fences(eig, dirs, lams)
@@ -159,10 +158,14 @@ def calibrate_factor(
     """Pick the factor of FACTOR_GRID whose mean null flag rate is closest to TARGET_RATE.
 
     Null datasets are n Gaussian curves on the fitted sample's grid, drawn
-    from its mean and its J = eig.truncation eigenpairs (truncated KL).
-    Per-dataset seeds derive from a spawned SeedSequence of `seed`, so
-    results are reproducible and thread-count independent. Ties in the rate
-    criterion break toward the larger factor.
+    from its mean and its J = eig.truncation eigenpairs (truncated KL): the
+    curves eig.mean + (z * sqrt(gamma)) @ eig.eigenfunctions, z ~ N(0, I).
+    They lie in the span of the fitted eigenfunctions, so each is fitted in
+    score space, from its n x J coordinates (funspace.fit_fpca_coordinates),
+    and never built on the grid; its flags come from one flag_sweep on that
+    eigensystem. Per-dataset seeds derive from a spawned SeedSequence of
+    `seed`, so results are reproducible and thread-count independent. Ties
+    in the rate criterion break toward the larger factor.
     """
     if B < 1:
         raise ValueError("B must be at least 1")
@@ -173,9 +176,8 @@ def calibrate_factor(
     def null_flag_rates(child):
         """Flagged proportion per factor on one null dataset: z, then the pool."""
         rng = np.random.default_rng(child)
-        z = rng.standard_normal((n, J))
-        null = FunctionalSample(eig.grid, eig.mean + (z * scale) @ eig.eigenfunctions)
-        (flagged,) = flag_sweep(null, J, M, rng, (spec,), FACTOR_GRID)
+        null = fit_fpca_coordinates(eig, rng.standard_normal((n, J)) * scale)
+        (flagged,) = flag_sweep(null, M, rng, (spec,), FACTOR_GRID)
         return [len(f) / n for f in flagged]
 
     per_dataset = parallel_map(null_flag_rates, np.random.SeedSequence(seed).spawn(B), threads)

@@ -12,7 +12,9 @@ count kernel, and `_candidate_fences` for the fences' pairs and quartiles.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -138,12 +140,14 @@ def resolve_lambda(spec: RegularizationSpec, dirs: DirectionSet) -> float:
 
     The quantile form returns the ceil(u*M)-th order statistic of the M
     proposal norms, so the accepted fraction of the proposals is exactly
-    ceil(u*M)/M; data directions never move lambda.
+    ceil(u*M)/M; data directions never move lambda. u*M is taken on the
+    decimal that u is written as: in floats 0.55 * 100 is 55.00000000000001,
+    whose ceiling would accept 56 of 100.
     """
     if spec.lam is not None:
         return float(spec.lam)
     m = dirs.proposal_size
-    k = int(np.ceil(spec.quantile_level * m))
+    k = math.ceil(Fraction(repr(float(spec.quantile_level))) * m)
     return float(np.sort(dirs.rkhs_norms[:m])[k - 1])
 
 

@@ -20,15 +20,17 @@ from hypothesis.extra import numpy as hnp
 from rhdepth import generate_inliers, generate_scenario, ScenarioSpec
 from rhdepth import cli
 from rhdepth.cli import _build_parser, _resolve_threads, parse_scenario_config, run
-from rhdepth.funspace import FunctionalSample, fit_fpca, make_uniform_grid
+from rhdepth.funspace import FunctionalSample, fit_fpca, fit_fpca_coordinates, make_uniform_grid
 from rhdepth.io import (
     _sample_from_table,
     atomic_write_text,
     csv_text,
+    json_text,
     read_labels,
     read_sample,
     sample_to_csv,
     write_labels,
+    write_json,
     write_sample,
 )
 
@@ -706,19 +708,24 @@ def test_either_or_conflict_reported_without_input(tmp_path, capsys):
 
 @pytest.mark.parametrize("B", [1, 3])
 def test_outliers_calibrate_fits_the_sample_once(B, cli_files, monkeypatch):
-    """One fit of the input serves the pool and the calibration; each null
-    dataset adds one."""
-    fitted = []
+    """One grid fit of the input serves the pool and the calibration; each
+    null dataset adds one fit in score space, on the input's eigensystem."""
+    grid_fits, score_fits = [], []
 
     def counted(sample, J):
-        fitted.append(sample.n)
+        grid_fits.append(sample.n)
         return fit_fpca(sample, J)
 
+    def counted_coordinates(basis, coords):
+        score_fits.append(basis)
+        return fit_fpca_coordinates(basis, coords)
+
     monkeypatch.setattr("rhdepth.cli.fit_fpca", counted)
-    monkeypatch.setattr("rhdepth.outlier.fit_fpca", counted)
+    monkeypatch.setattr("rhdepth.outlier.fit_fpca_coordinates", counted_coordinates)
     argv = ["outliers", "--input", cli_files["s"], "--J", "3", "--M", "200", "--u", "0.95"]
     assert run(argv + ["--calibrate", "--B", str(B), "--seed", "5", "--out", cli_files["o"]]) == 0
-    assert len(fitted) == 1 + B
+    assert len(grid_fits) == 1 and len(score_fits) == B
+    assert all(basis.scores.shape[0] == grid_fits[0] for basis in score_fits)
 
 
 @pytest.mark.parametrize(
@@ -875,6 +882,80 @@ def test_csv_text_writes_the_float_repr(value):
     # shortest round-trip repr that repr(float(v)) of a NumPy float gives.
     expected = repr(float(np.float64(value))) + "\n"
     assert csv_text([[value]]) == csv_text([np.array([value]).tolist()]) == expected
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e22, 1e-7]),
+)
+_JSON_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(["", "é", "日本", "\x00\x1f\x7f", '\t"\\/\n', " ", "\ud800", "😀"]),
+)
+_JSON_KEYS = st.one_of(_JSON_STRINGS, _JSON_FLOATS, st.integers(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63)),
+        _JSON_FLOATS,
+        _JSON_FLOATS.map(np.float64),
+        _JSON_STRINGS,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_JSON_VALUES)
+def test_json_text_is_the_indented_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2, allow_nan=False)
+
+
+def test_write_json_writes_the_indented_dumps(tmp_path):
+    payload = {"a": [1, 2.5, (True, None)], 0.5: {}, "b": [], "c": {"é": np.float64(-0.0)}}
+    path = tmp_path / "out.json"
+    write_json(str(path), payload)
+    expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def _nested(value):
+    return {"outer": [1, {"inner": (2.0, value)}]}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan)], ids=repr)
+@pytest.mark.parametrize(
+    "place",
+    [lambda v: v, lambda v: [v], _nested, lambda v: {v: 1}, lambda v: [{"k": {v: []}}]],
+    ids=["bare", "in-list", "nested", "key", "nested-key"],
+)
+def test_json_text_refuses_non_finite_floats(bad, place):
+    payload = place(bad)
+    with pytest.raises(ValueError) as expected:
+        json.dumps(payload, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as raised:
+        json_text(payload)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [object(), {1, 2}, [b"bytes"], _nested(np.int64(3)), {(1, 2): 3}, {"k": {np.int64(1): 0}}],
+    ids=["object", "set", "bytes", "np-int64", "tuple-key", "np-int64-key"],
+)
+def test_json_text_refuses_what_json_cannot_write(payload):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(payload, indent=2, allow_nan=False)
+    with pytest.raises(TypeError) as raised:
+        json_text(payload)
+    assert str(raised.value) == str(expected.value)
 
 
 @settings(

@@ -26,6 +26,7 @@ from rhdepth import (
 )
 from rhdepth import rhd
 from rhdepth.errors import EmptyPoolError
+from rhdepth.funspace import fit_fpca_coordinates
 from rhdepth.outlier import FenceRecord, flag_sweep
 from rhdepth.rhd import _candidate_fences, _sorted_quartiles, depth_from_scores
 
@@ -196,6 +197,66 @@ class TestCalibrate:
         assert serial.rates == threaded.rates
 
 
+def _null_curves(eig, coords):
+    """A null dataset built on the grid, as calibration once did."""
+    return FunctionalSample(eig.grid, eig.mean + coords @ eig.eigenfunctions)
+
+
+def _assert_close(got, expected):
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestScoreSpaceFit:
+    """A null dataset fitted from its coordinates on the fitted
+    eigenfunctions equals fit_fpca of its curves on the grid."""
+
+    def test_matches_the_grid_fit_on_paper_case_nulls(self):
+        spec95 = (RegularizationSpec.from_quantile(0.95),)
+        compared = 0
+        for rep in range(5):
+            kind = OUTLIER_KINDS[rep % len(OUTLIER_KINDS)]
+            spec = ScenarioSpec(n_inliers=400, outlier_counts={kind: 1}, seed=9_000_000 + rep)
+            eig = fit_fpca(generate_scenario(spec)[0], 6)
+            for child in np.random.SeedSequence(rep).spawn(10):
+                rng = np.random.default_rng(child)
+                coords = rng.standard_normal((eig.scores.shape[0], 6)) * np.sqrt(eig.eigenvalues)
+                got = fit_fpca_coordinates(eig, coords)
+                expected = fit_fpca(_null_curves(eig, coords), 6)
+                rel = np.abs(got.eigenvalues - expected.eigenvalues) / expected.eigenvalues
+                assert rel.max() <= 1e-12
+                signs = np.sign(np.sum(got.eigenfunctions * expected.eigenfunctions, axis=1))
+                _assert_close(got.eigenfunctions * signs[:, None], expected.eigenfunctions)
+                _assert_close(got.scores * signs, expected.scores)
+                _assert_close(got.mean, expected.mean)
+                assert got.usable_rank == expected.usable_rank == 6
+                seed = int(rng.integers(2**63))
+                sweeps = [
+                    flag_sweep(e, 1000, np.random.default_rng(seed), spec95, FACTOR_GRID)
+                    for e in (got, expected)
+                ]
+                assert sweeps[0] == sweeps[1]
+                compared += 1
+        assert compared >= 50
+
+    @pytest.mark.parametrize("case", ["zero-column", "constant", "tiny"])
+    def test_rank_deficient_coordinates_raise_the_grid_fit_rank_error(self, case):
+        eig = fit_fpca(_contaminated(60, 311), 4)
+        coords = np.random.default_rng(312).standard_normal((60, 4))
+        if case == "zero-column":
+            coords[:, 2] = 0.0
+        elif case == "constant":
+            coords[:] = coords[0]
+        else:
+            # variation far below the floor that the mean's squared norm sets
+            coords *= 1e-9
+        with pytest.raises(RankError) as expected:
+            fit_fpca(_null_curves(eig, coords), 4)
+        with pytest.raises(RankError) as raised:
+            fit_fpca_coordinates(eig, coords)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.usable_rank == (3 if case == "zero-column" else 0)
+
+
 class TestBatchedFencesMatchPerPairReference:
     SEEDS = (200, 201, 202)
 
@@ -274,7 +335,7 @@ def test_fence_path_makes_no_count_kernel_call(monkeypatch):
     with pytest.raises(AssertionError, match="count kernel"):
         depth_from_scores(dirs, lam, eig.scores, eig.scores)
     rng = np.random.default_rng(302)
-    assert flag_sweep(sample, 4, 300, rng, (spec,), FACTOR_GRID) == [flags]
+    assert flag_sweep(fit_fpca(sample, 4), 300, rng, (spec,), FACTOR_GRID) == [flags]
 
 
 def test_sweep_matches_per_lambda_detect_outliers():
@@ -298,7 +359,7 @@ def test_sweep_matches_per_lambda_detect_outliers():
                 for lam in lams
             ]
             rng = np.random.default_rng(seed)
-            assert flag_sweep(data, 6, 500, rng, specs, FACTOR_GRID) == expected
+            assert flag_sweep(fit_fpca(data, 6), 500, rng, specs, FACTOR_GRID) == expected
 
 
 def test_sweep_refuses_a_lambda_below_every_norm():
@@ -307,7 +368,7 @@ def test_sweep_refuses_a_lambda_below_every_norm():
     low = float(dirs.rkhs_norms.min()) / 2
     specs = (RegularizationSpec.from_quantile(0.5), RegularizationSpec.from_lambda(low))
     with pytest.raises(EmptyPoolError, match=re.escape(f"lambda={low!r}")) as raised:
-        flag_sweep(sample, 4, 200, np.random.default_rng(304), specs, FACTOR_GRID)
+        flag_sweep(fit_fpca(sample, 4), 200, np.random.default_rng(304), specs, FACTOR_GRID)
     assert raised.value.lam == low
 
 
@@ -323,7 +384,7 @@ def test_sweep_projects_once_for_all_lambdas(monkeypatch):
     monkeypatch.setattr("rhdepth.rhd._accepted_projections", counted)
     specs = [RegularizationSpec.from_quantile(u) for u in (0.5, 0.7, 0.9, 0.95)]
     rng = np.random.default_rng(306)
-    sweep = flag_sweep(_contaminated(60, 305), 4, 200, rng, specs, FACTOR_GRID)
+    sweep = flag_sweep(fit_fpca(_contaminated(60, 305), 4), 200, rng, specs, FACTOR_GRID)
     assert len(sweep) == 4 and len(calls) == 1
 
 
@@ -452,8 +513,9 @@ class TestCandidateFencesMatchMaskReference:
 
 
 def _reference_flag_sweep(sample, J, M, rng, specs, factors):
-    """flag_sweep in its earlier form: per lambda, a loop over the factors,
-    each with its own fences and compare on the same quartiles."""
+    """flag_sweep in its earlier form, fitting the sample's grid values
+    itself: per lambda, a loop over the factors, each with its own fences
+    and compare on the same quartiles."""
     eig = fit_fpca(sample, J)
     dirs = draw_directions(eig, M, seed=int(rng.integers(2**63)))
     lams = [resolve_lambda(spec, dirs) for spec in specs]
@@ -481,9 +543,9 @@ class TestFlagSweepMatchesPerFactorLoop:
 
     def _assert_matches(self, sample, J, M, seed):
         specs = [RegularizationSpec.from_quantile(u) for u in self.U_GRID]
-        args = (sample, J, M)
-        sweep = flag_sweep(*args, np.random.default_rng(seed), specs, self.FACTORS)
-        expected = _reference_flag_sweep(*args, np.random.default_rng(seed), specs, self.FACTORS)
+        sweep = flag_sweep(fit_fpca(sample, J), M, np.random.default_rng(seed), specs, self.FACTORS)
+        rng = np.random.default_rng(seed)
+        expected = _reference_flag_sweep(sample, J, M, rng, specs, self.FACTORS)
         assert sweep == expected
         return sweep
 
@@ -523,7 +585,7 @@ def test_sweep_names_the_overflowing_factor():
     specs = (RegularizationSpec.from_quantile(0.9),)
     factors = (1.5, 1e307, 1.7e308, 3.0, 1.79e308)
     with pytest.raises(ValueError) as raised:
-        flag_sweep(sample, 4, 200, np.random.default_rng(310), specs, factors)
+        flag_sweep(fit_fpca(sample, 4), 200, np.random.default_rng(310), specs, factors)
     assert str(raised.value) == "factor 1.7e+308 is too large: a fence overflows"
 
 

@@ -162,6 +162,13 @@ class TestResolveLambda:
         assert lam == np.sort(norms)[949]
         assert (norms <= lam).mean() == 0.95
 
+    @pytest.mark.parametrize("u, M, k", [(0.55, 100, 55), (0.07, 200, 14), (0.95, 1000, 950)])
+    def test_accepts_ceil_of_u_as_written_times_M(self, u, M, k):
+        # in floats 0.55 * 100 and 0.07 * 200 land just above 55 and 14
+        dirs = self._pool_with_norms(np.arange(1.0, M + 1))
+        lam = resolve_lambda(RegularizationSpec.from_quantile(u), dirs)
+        assert lam == k and dirs.accepted(lam).size == k
+
     def test_quantile_ignores_data_directions(self):
         s = generate_inliers(60, seed=24)
         eig = fit_fpca(s, 5)
