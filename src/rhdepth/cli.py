@@ -448,7 +448,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError, MemoryError, RankError, EmptyPoolError) as exc:
-        print(f"rhdepth: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        # A path named in the message may hold line breaks; escaped, the message stays one line.
+        message = (str(exc) or "out of memory").replace("\n", "\\n").replace("\r", "\\r")
+        print(f"rhdepth: error: {message}", file=sys.stderr)
         return 2 if isinstance(exc, (RankError, EmptyPoolError)) else 1
 
 

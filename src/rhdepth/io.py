@@ -4,7 +4,10 @@ Every CSV output is written by `csv_text`, each field by str(): a float as
 its shortest round-trip repr, so a curve file reads back exactly. Every JSON
 output is written by `json_text`: the bytes of
 json.dumps(payload, indent=2, allow_nan=False), built with one str.join per
-container instead of the pure-Python encoder that indenting selects.
+container instead of the pure-Python encoder that indenting selects. Its
+writers, keyed by exact type, take what the program writes; json.dumps
+itself writes, or refuses, the rest: a non-str key, a subclass such as
+np.float64, a NaN or an infinity, a type json cannot write.
 
 Curve CSV format: first row holds the grid points, which become a Grid as
 read (the Grid derives its quadrature weights), each subsequent row one
@@ -149,32 +152,16 @@ def eigensystem_payload(eig: EigenSystem) -> dict:
     }
 
 
-def _float_text(value: float, _indent=None) -> str:
-    """A finite float's shortest round-trip repr; a writer of _WRITERS too."""
-    if not isfinite(value):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return float.__repr__(value)
-
-
-def _key_text(key) -> str:
-    """A dict key as json converts it: str as is, a float, int, bool or None
-    by its JSON text, then quoted."""
-    if isinstance(key, str):
-        return _quoted(key)
-    if isinstance(key, float):
-        return _quoted(_float_text(key))
-    if key is True or key is False or key is None:
-        return _quoted(_SINGLETONS[key])
-    if isinstance(key, int):
-        return _quoted(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+def _float_text(value: float, indent: str) -> str:
+    """A finite float's shortest round-trip repr; json.dumps refuses the rest."""
+    return float.__repr__(value) if isfinite(value) else _dumps_text(value, indent)
 
 
 def _list_text(items, indent: str) -> str:
     if not items:
         return "[]"
     inner = indent + "  "
-    texts = [_WRITERS.get(type(v), _other_text)(v, inner) for v in items]
+    texts = [_WRITERS.get(type(v), _dumps_text)(v, inner) for v in items]
     return "[" + inner + ("," + inner).join(texts) + indent + "]"
 
 
@@ -182,40 +169,31 @@ def _dict_text(mapping, indent: str) -> str:
     if not mapping:
         return "{}"
     inner = indent + "  "
-    texts = [
-        (_quoted(k) if type(k) is str else _key_text(k))
-        + ": "
-        + _WRITERS.get(type(v), _other_text)(v, inner)
-        for k, v in mapping.items()
-    ]
+    try:
+        texts = [
+            _quoted(k) + ": " + _WRITERS.get(type(v), _dumps_text)(v, inner)
+            for k, v in mapping.items()
+        ]
+    except TypeError:  # a key that is not a str, or json's own refusal below
+        return _dumps_text(mapping, indent)
     return "{" + inner + ("," + inner).join(texts) + indent + "}"
 
 
-def _other_text(value, indent: str) -> str:
-    """Subclasses (np.float64, IntEnum, OrderedDict, ...) by isinstance, in
-    json's order; anything else is not serializable."""
-    if isinstance(value, str):
-        return _quoted(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, (list, tuple)):
-        return _list_text(value, indent)
-    if isinstance(value, dict):
-        return _dict_text(value, indent)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+def _dumps_text(value, indent: str) -> str:
+    """json.dumps's own text, or its error, for what no writer of _WRITERS
+    takes. ensure_ascii escapes every newline inside a string, so each
+    newline of the text starts a line, which takes the indent of its place."""
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", indent)
 
 
 _quoted = json.encoder.encode_basestring_ascii
-_SINGLETONS = {True: "true", False: "false", None: "null"}
 # Writers by exact type, each taking (value, indent): the indent is "\n"
 # and two spaces per level, the text that precedes the value's own items.
 _WRITERS = {
     float: _float_text,
     int: lambda value, _: int.__repr__(value),
     str: lambda value, _: _quoted(value),
-    bool: lambda value, _: _SINGLETONS[value],
+    bool: lambda value, _: "true" if value else "false",
     type(None): lambda value, _: "null",
     list: _list_text,
     tuple: _list_text,
@@ -225,10 +203,9 @@ _WRITERS = {
 
 def json_text(payload) -> str:
     """The text json.dumps(payload, indent=2, allow_nan=False) returns, byte
-    for byte. A NaN or infinite float, value or key, raises ValueError; a
-    value or key json cannot write raises TypeError. Containers are not
-    checked for cycles."""
-    return _WRITERS.get(type(payload), _other_text)(payload, "\n")
+    for byte, and its ValueError or TypeError for what it refuses.
+    Containers that the writers take are not checked for cycles."""
+    return _WRITERS.get(type(payload), _dumps_text)(payload, "\n")
 
 
 def write_json(path: str, payload: dict) -> None:

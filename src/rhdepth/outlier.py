@@ -30,7 +30,7 @@ empirical mean and covariance, targeting a 0.7% flagged proportion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class CalibrationResult:
     achieved_rate: float
     grid_tried: tuple
     B: int
-    rates: dict = field(default_factory=dict)
+    rates: dict
 
 
 def _require_fence_sample(n: int) -> None:

@@ -22,6 +22,7 @@ from rhdepth import cli
 from rhdepth.cli import _build_parser, _resolve_threads, parse_scenario_config, run
 from rhdepth.funspace import FunctionalSample, fit_fpca, fit_fpca_coordinates, make_uniform_grid
 from rhdepth.io import (
+    _dumps_text,
     _sample_from_table,
     atomic_write_text,
     csv_text,
@@ -495,6 +496,21 @@ def test_manifest_argv_replays_byte_identical(case, cli_files, monkeypatch):
         assert [Path(path).read_bytes() for path in outputs] == first
 
 
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_program_payloads_take_the_exact_type_writers(case, cli_files, monkeypatch):
+    # Only the calibrate payload's float-keyed rates go to json.dumps; a
+    # NumPy scalar leaking into any output or manifest would show up here.
+    calls = []
+    fallback = lambda value, indent: calls.append(value) or _dumps_text(value, indent)
+    monkeypatch.setattr("rhdepth.io._dumps_text", fallback)
+    monkeypatch.setenv("RHDEPTH_SEED", "5")
+    assert run([token.format(**cli_files) for token in REPLAY_CASES[case][1].split()]) == 0
+    if case == "calibrate":
+        assert len(calls) == 1 and {type(k) for k in calls[0]} == {float}
+    else:
+        assert calls == []
+
+
 @pytest.mark.parametrize("reg", [["--u", "0.5"], ["--lambda", "inf"], ["--lambda", "2.5"]])
 def test_depth_eval_of_the_input_is_the_self_depth(reg, cli_files):
     # The sample read again projects to the fitted scores bit for bit, so
@@ -534,6 +550,28 @@ def test_eval_on_a_moved_grid_point_names_the_file(moved, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "d.csv")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"--eval {paths['eval']}: " in err and "grid" in err
+
+
+@pytest.mark.parametrize("flag", ["input", "scenario", "eval", "eval-grid"])
+def test_path_with_line_breaks_gets_a_one_line_error(flag, cli_files, tmp_path, capsys):
+    bad = tmp_path / "bad\nname\r.csv"
+    if flag == "eval-grid":
+        write_sample(str(bad), generate_inliers(10, seed=2, p=40))
+    else:
+        bad.write_text("1,2\nx,y\n")  # neither a curve CSV nor a scenario config
+    out = cli_files["o"]
+    if flag == "scenario":
+        argv = ["simulate", "--scenario", str(bad), "--out-sample", out, "--out-labels", out + ".l"]
+    elif flag == "input":
+        argv = ["depth", "--input", str(bad)]
+    else:
+        argv = ["depth", "--input", cli_files["s"], "--eval", str(bad)]
+    if flag != "scenario":
+        argv += ["--J", "3", "--M", "200", "--u", "0.5", "--out", out]
+    assert run(argv + ["--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "\r" not in err
+    assert str(tmp_path / "bad\\nname\\r.csv") in err
 
 
 def test_failed_allocation_exits_1(cli_files, capsys):

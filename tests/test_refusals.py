@@ -20,6 +20,7 @@ from rhdepth import (
     roc_table,
     tukey_depth_2d_exact,
 )
+from rhdepth.funspace import fit_fpca_coordinates
 
 
 def _zero_eigenvalue_system():
@@ -65,6 +66,11 @@ REFUSALS = {
         lambda: roc_table(SCENARIO, 2, 10, 0, seed=0),
         ValueError,
         "replicates must be at least 1",
+    ),
+    "fpca-coordinates-columns": (
+        lambda: fit_fpca_coordinates(fit_fpca(SAMPLE, 2), np.zeros((5, 3))),
+        ValueError,
+        "coordinates have 3 columns, the basis has 2",
     ),
     "ranks-empty": (lambda: normalized_ranks([]), ValueError, "depths must be nonempty"),
     "tukey-no-points": (
