@@ -47,7 +47,6 @@ import time
 from importlib.metadata import PackageNotFoundError, version
 from typing import Callable
 
-from ._parallel import default_threads
 from .errors import EmptyPoolError, RankError
 from .evalkit import DEFAULT_QUANTILE_GRID, normalized_ranks, roc_table
 from .funspace import fit_fpca
@@ -170,7 +169,8 @@ def _resolve_threads(args, parser) -> int:
     Outputs do not depend on the thread count, so the cap changes none.
     """
     threads = _setting(args, "threads", "RHDEPTH_THREADS", _count, parser)
-    return default_threads() if threads is None else min(threads, default_threads())
+    cpus = os.cpu_count() or 1
+    return cpus if threads is None else min(threads, cpus)
 
 
 def _reg_spec(args) -> RegularizationSpec:

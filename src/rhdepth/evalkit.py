@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .funspace import _frozen_array, fit_fpca
-from .outlier import FACTOR_GRID, flag_sweep
+from .outlier import FACTOR_GRID, flag_sweep, parallel_map
 from .rhd import RegularizationSpec
 from .simlab import ScenarioSpec, generate_scenario
 
@@ -125,8 +124,9 @@ def roc_table(
 ) -> list:
     """Averaged (u, f, p_c, p_f, replicates) rows over scenario replicates.
 
-    Deterministic given the master seed; replicates run in parallel with
-    per-replicate derived seeds and an order-independent average.
+    Deterministic given the master seed: replicates run in parallel with
+    per-replicate derived seeds, and each cell is the 1-D mean of its rates
+    over the replicates in input order, whatever the thread count.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")

@@ -1,5 +1,9 @@
 """CSV/JSON interchange and atomic file writes.
 
+Every output is written by `atomic_write_text`: to a temp file that open()
+creates exclusively in the target's directory, with the mode the umask
+gives it (the umask is never changed), then renamed onto the target.
+
 Every CSV output is written by `csv_text`, each field by str(): a float as
 its shortest round-trip repr, so a curve file reads back exactly. Every JSON
 output is written by `json_text`: the bytes of
@@ -25,7 +29,6 @@ import csv
 import itertools
 import json
 import os
-import tempfile
 import warnings
 from math import isfinite
 
@@ -37,18 +40,17 @@ from .funspace import EigenSystem, FunctionalSample, Grid
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the target directory, then rename.
 
-    The file gets mode 0o666 less the umask, as open() would give it;
-    mkstemp alone creates it 0o600. An OSError names path, not the temp file.
+    The temp file, under a random name, is created exclusively by open(),
+    so it gets mode 0o666 less the umask; the umask is never changed. An
+    OSError names path, not the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+    name = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    tmp = None  # set once this call has created the file
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with open(name, "x", encoding="utf-8", newline="") as handle:
+            tmp = name
             handle.write(text)
-        umask = os.umask(0)  # the only way to read it; restored at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

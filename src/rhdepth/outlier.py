@@ -21,7 +21,9 @@ calibration null dataset, a ROC replicate in `evalkit.roc_table`): on a
 fitted eigensystem, one direction pool seeded from the caller's RNG, one
 projection product and sort at the largest lambda, whose columns every
 lambda reads, and per lambda one fence call and one compare of the
-candidates' rows for all factors, which form one array axis.
+candidates' rows for all factors, which form one array axis. Both studies
+map it with `parallel_map`, in input order and with a seed per replicate,
+so output is the same for any thread count.
 
 The factor f is calibrated on Gaussian null data matching the input's
 empirical mean and covariance, targeting a 0.7% flagged proportion.
@@ -30,11 +32,11 @@ empirical mean and covariance, targeting a 0.7% flagged proportion.
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .funspace import EigenSystem, _frozen_array, fit_fpca_coordinates
 from .rhd import DirectionSet, RegularizationSpec, _candidate_fences, _min_counts
 from .rhd import draw_directions, resolve_lambda
@@ -120,6 +122,14 @@ def flag_sweep(eig: EigenSystem, M: int, rng, specs, factors) -> list:
         hits = _fences(projections[candidates], columns, *quartiles, factors)[3].any(axis=2)
         sweep.append(tuple(tuple(candidates[hit].tolist()) for hit in hits))
     return sweep
+
+
+def parallel_map(fn, items, threads: int = 1) -> list:
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def detect_outliers(

@@ -44,13 +44,15 @@ _SQRT3 = np.sqrt(3.0)
 def eigenvalue_tail_sums(J0: int) -> np.ndarray:
     """gamma_j = 2 * sum_{l=j}^inf l^-5 for j = 1..J0.
 
-    Partial sum through l = 2000 plus the midpoint integral estimate of the
-    remainder, 2000.5^-4 / 4; absolute error well below 1e-12.
+    Partial sum through l = L = max(J0, 2000) plus the midpoint integral
+    estimate of the remainder, (L + 0.5)^-4 / 4; absolute error well below
+    1e-12.
     """
-    inv = np.arange(1, 2001, dtype=float) ** -5
-    # suffix[j-1] = sum_{l=j}^{2000} l^-5
+    L = max(J0, 2000)
+    inv = np.arange(1, L + 1, dtype=float) ** -5
+    # suffix[j-1] = sum_{l=j}^{L} l^-5
     suffix = np.cumsum(inv[::-1])[::-1]
-    return 2.0 * (suffix[:J0] + 2000.5**-4 / 4)
+    return 2.0 * (suffix[:J0] + (L + 0.5) ** -4 / 4)
 
 
 def trigonometric_basis(points: np.ndarray, J0: int) -> np.ndarray:

@@ -77,6 +77,21 @@ class TestIo:
             os.umask(old)
         assert path.stat().st_mode & 0o777 == 0o644
 
+    def test_writes_never_touch_the_umask(self, tmp_path, monkeypatch):
+        def refuse(mask):
+            raise AssertionError("the process umask was changed")
+
+        old = os.umask(0o027)
+        try:
+            monkeypatch.setattr(os, "umask", refuse)
+            atomic_write_text(str(tmp_path / "out.txt"), "x\n")
+            write_json(str(tmp_path / "out.json"), {"a": [1.5]})
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == {"out.txt": 0o640, "out.json": 0o640}
+
     def test_grid_point_near_uniform_is_kept(self, tmp_path):
         # 0.300002 lies within allclose's tolerance of the uniform grid's
         # 0.30000000000000004, yet it is where the file puts the point.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,8 @@ from rhdepth import (
 from rhdepth import rhd
 from rhdepth.errors import EmptyPoolError
 from rhdepth.funspace import fit_fpca_coordinates
-from rhdepth.outlier import FenceRecord, flag_sweep
+from rhdepth import evalkit
+from rhdepth.outlier import FenceRecord, flag_sweep, parallel_map
 from rhdepth.rhd import _candidate_fences, _sorted_quartiles, depth_from_scores
 
 
@@ -607,3 +609,31 @@ def test_detect_outliers_holds_no_float_copy_of_the_pairs():
     extra = peak - held - n * k * np.dtype(float).itemsize - n * pairs
     assert pairs > rhd._COUNT_BLOCK
     assert extra < n * pairs * np.dtype(float).itemsize / 2
+
+
+class TestParallelMap:
+    """The map both simulation studies run their replicates through."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_results_in_input_order(self, threads):
+        items = [3, 1, 4, 1, 5]  # 8 threads is more than there are items
+        assert parallel_map(lambda x: x * x, iter(items), threads) == [x * x for x in items]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_an_item_error_reaches_the_caller(self, threads):
+        def fn(x):
+            if x == 2:
+                raise RankError(x, 1)
+            return x
+
+        with pytest.raises(RankError, match="truncation level 2 exceeds usable rank 1"):
+            parallel_map(fn, range(4), threads)
+
+    @pytest.mark.parametrize("threads, items", [(1, range(4)), (1, [0]), (2, [0]), (8, [0])])
+    def test_serial_runs_on_the_calling_thread(self, threads, items):
+        seen = []
+        parallel_map(lambda x: seen.append(threading.get_ident()), items, threads)
+        assert seen == [threading.get_ident()] * len(items)
+
+    def test_one_map_serves_both_studies(self):
+        assert evalkit.parallel_map is parallel_map

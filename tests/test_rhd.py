@@ -21,6 +21,7 @@ from rhdepth import (
     naive_tukey_depth,
     resolve_lambda,
 )
+from rhdepth.evalkit import tukey_depth_2d_exact
 from rhdepth.funspace import fit_fpca
 from rhdepth.outlier import detect_outliers
 from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _accepted_projections, _min_counts
@@ -305,6 +306,62 @@ class TestMonotoneFromTheCenter:
             ]
             for d0, dx, dhalf in (np.split(together.depths, [1, q + 1]), separately):
                 assert np.all(dhalf >= np.minimum(d0, dx))
+
+
+def _nonzero_differences(points, x):
+    """The differences s_i - x that are not 0, and m, the count of the rest."""
+    d = np.asarray(points, dtype=float) - x
+    nonzero = d[np.any(d != 0.0, axis=1)]
+    return nonzero, len(d) - len(nonzero)
+
+
+def _exact_depth_3d(points, x) -> float:
+    """Exact closed halfspace depth of x among the points of R^3, from
+    bivariate depths (Rousseeuw & Struyf 1998): (m + min_j D_j) / n, where
+    m counts the points equal to x and D_j is the closed 2-D count of the
+    origin among the other differences s_i - x projected on the plane
+    orthogonal to s_j - x, with s_j left out."""
+    d, m = _nonzero_differences(points, x)
+    counts = []
+    for j in range(len(d)):
+        plane = np.linalg.svd(d[j : j + 1])[2][1:]  # orthonormal rows orthogonal to d_j
+        others = np.delete(d, j, axis=0) @ plane.T
+        counts.append(round(tukey_depth_2d_exact(others, np.zeros(2)) * len(others)))
+    return (m + min(counts)) / len(points)
+
+
+def _enumerated_depth_3d(points, x) -> float:
+    """The same depth by enumeration, O(n^3), for points in general
+    position: the closed count is least on an open cell of the great
+    circles d_i . a = 0. Every cell has a vertex a = +-(d_j x d_k), and the
+    least of the cells at that vertex holds d_j and d_k out and every other
+    d_i on its side of a."""
+    d, m = _nonzero_differences(points, x)
+    j, k = np.triu_indices(len(d), 1)
+    side = np.cross(d[j], d[k]) @ d.T
+    others = (np.arange(len(d)) != j[:, None]) & (np.arange(len(d)) != k[:, None])
+    least = min(((side > 0) & others).sum(axis=1).min(), ((side < 0) & others).sum(axis=1).min())
+    return (m + int(least)) / len(points)
+
+
+class TestExact3DOracle:
+    """The pool depth against the exact halfspace depth at J = 3."""
+
+    def test_reduction_matches_enumeration(self):
+        rng = np.random.default_rng(0)
+        for n in (6, 9, 12, 15):
+            points = rng.standard_normal((n, 3))
+            for x in np.vstack([points, rng.standard_normal((5, 3))]):
+                assert _exact_depth_3d(points, x) == _enumerated_depth_3d(points, x)
+
+    def test_pool_depth_bounds_the_exact_depth(self):
+        sample = generate_inliers(80, seed=5, gaussian=True)
+        eig = fit_fpca(sample, 3)
+        naive = naive_tukey_depth(eig, draw_directions(eig, 1000, seed=6), sample).depths
+        exact = np.array([_exact_depth_3d(eig.scores, x) for x in eig.project(sample)])
+        excess = naive - exact
+        print(f"3-D oracle: exact {np.mean(excess == 0):.4f}, mean excess {excess.mean():.5f}")
+        assert np.all(excess >= 0)
 
 
 def _reference_min_counts(sample_scores, eval_scores, coeff):

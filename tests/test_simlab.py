@@ -15,6 +15,8 @@ from rhdepth import (
     make_uniform_grid,
 )
 from rhdepth import simlab
+from rhdepth.cli import run
+from rhdepth.io import read_sample
 from rhdepth.simlab import (
     ENVELOPE_CAP,
     eigenvalue_tail_sums,
@@ -44,6 +46,16 @@ class TestEigenvalues:
     def test_strictly_decreasing(self):
         gamma = eigenvalue_tail_sums(15)
         assert np.all(np.diff(gamma) < 0)
+
+    def test_more_terms_than_the_partial_sum(self):
+        # The partial sum runs through max(J0, 2000) terms.
+        assert eigenvalue_tail_sums(2001).shape == (2001,)
+
+    def test_eigengap_identity_past_the_partial_sum(self):
+        gamma = eigenvalue_tail_sums(2003)
+        j = np.arange(1995, 2003)
+        gaps = gamma[j - 1] - gamma[j]
+        assert np.allclose(gaps, 2.0 * j**-5.0, rtol=1e-9, atol=0)
 
 
 class TestBasis:
@@ -149,6 +161,14 @@ class TestOutliers:
 
 
 class TestScenario:
+    def test_simulate_more_terms_than_the_partial_sum(self, tmp_path):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("n_inliers = 6\noutliers = magnitude:1, damping:1\nJ0 = 2001\n")
+        out = str(tmp_path / "sim.csv")
+        argv = ["simulate", "--scenario", str(cfg), "--seed", "1", "--out-sample", out]
+        assert run(argv + ["--out-labels", out + ".lab"]) == 0
+        assert read_sample(out).values.shape == (8, 50)
+
     def test_single_contamination(self):
         spec = ScenarioSpec(n_inliers=400, outlier_counts={"magnitude": 1}, seed=0)
         sample, labels = generate_scenario(spec)
