@@ -47,9 +47,8 @@ import time
 from importlib.metadata import PackageNotFoundError, version
 from typing import Callable
 
-from .errors import EmptyPoolError, RankError
 from .evalkit import DEFAULT_QUANTILE_GRID, normalized_ranks, roc_table
-from .funspace import fit_fpca
+from .funspace import RankError, fit_fpca
 from .io import (
     atomic_write_text,
     csv_text,
@@ -60,7 +59,8 @@ from .io import (
     write_json,
 )
 from .outlier import FACTOR_GRID, calibrate_factor, detect_outliers
-from .rhd import RegularizationSpec, approximate_rhd, draw_directions, resolve_lambda
+from .rhd import EmptyPoolError, RegularizationSpec, approximate_rhd, draw_directions
+from .rhd import resolve_lambda
 from .simlab import ScenarioSpec, generate_scenario
 
 

@@ -80,8 +80,12 @@ def tukey_depth_2d_exact(points, x) -> float:
     between such critical angles. Every arc midpoint is counted at once, by
     binary search over the sorted point angles. O(n log n).
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    x = np.asarray(x, dtype=float).reshape(2)
+    points, x = np.asarray(points, dtype=float), np.asarray(x, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must be an (n, 2) array, got shape {points.shape}")
+    if x.size != 2:
+        raise ValueError(f"x must hold 2 values, got {x.size}")
+    x = x.reshape(2)
     n = points.shape[0]
     if n == 0:
         raise ValueError("need at least one point")

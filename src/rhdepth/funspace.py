@@ -8,6 +8,10 @@ O(n p min(n, p)) whichever of n and p is larger; the SVD also avoids the
 squared condition number of a covariance or Gram matrix. Curves that lie in
 a fitted mean plus the span of its J eigenfunctions, as Gaussian null data
 does, take the same SVD on their n x J coordinates instead.
+
+A FunctionalSample refuses values that are not finite, and values whose
+weighted squares overflow the sum that FPCA takes, wherever it is built.
+RankError, for a J above the usable rank, is raised here and by the pool.
 """
 
 from __future__ import annotations
@@ -16,14 +20,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RankError
-
 # Eigenvalues below max_eig * RANK_RTOL are treated as numerically zero.
 RANK_RTOL = 1e-10
 # Nor does an eigenvalue below this absolute floor, sqrt of the smallest
 # normal double (about 1.5e-154), count toward the rank: the direction
 # pool divides by the eigenvalues, and beneath it those quotients overflow.
 _EIGVAL_FLOOR = float(np.sqrt(np.finfo(float).tiny))
+
+
+class RankError(RuntimeError):
+    """Requested truncation level exceeds the usable rank of the sample covariance."""
+
+    def __init__(self, requested: int, usable_rank: int):
+        self.requested = requested
+        self.usable_rank = usable_rank
+        advice = f"lower J to at most {usable_rank}"
+        if usable_rank == 0:  # J is at least 1
+            advice = "the sample has no usable variation"
+        super().__init__(
+            f"truncation level {requested} exceeds usable rank {usable_rank}; {advice}"
+        )
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -90,8 +106,17 @@ class FunctionalSample:
             raise ValueError(
                 f"curves have {self.values.shape[1]} points, grid has {len(self.grid)}"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("curve values must be finite")
+        with np.errstate(over="ignore"):
+            # FPCA squares the centered curves scaled by sqrt(w) and sums the
+            # squares: a centered square is at most 4x the largest uncentered
+            # one, and the centered sum at most the uncentered sum. Summed
+            # per grid point first, with no n x p temporary.
+            squares = np.einsum("ij,ij->j", self.values, self.values)
+            energy = 4 * (self.grid.weights @ squares)
+        if not np.isfinite(energy):  # as it is when some value is not finite
+            if not np.all(np.isfinite(self.values)):
+                raise ValueError("curve values must be finite")
+            raise ValueError("curve values are too large: their weighted squares overflow")
 
     @property
     def n(self) -> int:

@@ -19,8 +19,10 @@ curve; UTF-8 with '.' decimals, any line ending (LF, CRLF or CR). NumPy's C
 parser reads it: fields may be double-quoted and padded with spaces, and a
 number is a Python float literal without underscores and in ASCII digits
 (so `+1.5`, `1.`, `.5`, `1E5`, `nan` and `inf` are accepted). Empty lines
-are skipped; there are no comment lines. Labels CSV: index,label rows with
-a header, read by the csv module.
+are skipped; there are no comment lines. The reader checks only that there
+is a grid row and a curve row: the Grid and FunctionalSample refuse the
+rest, and read_sample names the file in the message. Labels CSV:
+index,label rows with a header, read by the csv module.
 """
 
 from __future__ import annotations
@@ -101,18 +103,11 @@ def read_sample(path: str) -> FunctionalSample:
 
 
 def _sample_from_table(table: np.ndarray) -> FunctionalSample:
+    """The Grid of the table's first row and the curves of the rest; the
+    Grid and FunctionalSample refuse what they cannot hold."""
     if len(table) < 2:
         raise ValueError("need a grid row and at least one curve row")
-    grid = Grid(table[0])
-    sample = FunctionalSample(grid, table[1:])
-    with np.errstate(over="ignore"):
-        # FPCA squares the centered curves scaled by sqrt(w) and sums the
-        # squares: a centered square is at most 4x the largest uncentered
-        # one, and the centered sum at most the uncentered sum.
-        energy = 4 * np.sum(grid.weights * np.square(sample.values))
-    if not np.isfinite(energy):
-        raise ValueError("curve values are too large: their weighted squares overflow")
-    return sample
+    return FunctionalSample(Grid(table[0]), table[1:])
 
 
 def labels_to_csv(labels) -> str:

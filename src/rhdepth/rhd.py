@@ -18,8 +18,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyPoolError, RankError
-from .funspace import EigenSystem, FunctionalSample, _frozen_array
+from .funspace import EigenSystem, FunctionalSample, RankError, _frozen_array
+
+
+class EmptyPoolError(RuntimeError):
+    """No pool direction satisfies the RKHS-norm constraint at the given lambda."""
+
+    def __init__(self, lam: float, min_norm: float):
+        self.lam = lam
+        self.min_norm = min_norm
+        super().__init__(
+            f"no accepted directions: lambda={lam!r} is below the smallest "
+            f"pool RKHS norm {min_norm!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -176,7 +187,13 @@ def _sorted_blocks(projections: np.ndarray):
 
 def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
     """The pool indices accepted at lambda and the (n, k) projections of the
-    score rows on them: the one product the count kernel and fences share."""
+    score rows on them: the one product the count kernel and fences share,
+    and the one place a pool meets scores, so a pool of another J is refused."""
+    width, columns = dirs.coefficients.shape[1], scores.shape[1]
+    if width != columns:
+        raise ValueError(
+            f"pool directions have {width} coordinates, the scores have {columns} columns"
+        )
     accepted = dirs.accepted(lam)
     if accepted.size == 0:
         raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
@@ -310,6 +327,11 @@ def depth_from_scores(
     The depth at x is the minimum over accepted directions a of the
     fraction of sample rows S_i with S_i·a >= x·a.
     """
+    if eval_scores.shape[1] != sample_scores.shape[1]:
+        raise ValueError(
+            f"evaluation scores have {eval_scores.shape[1]} columns, "
+            f"the sample scores have {sample_scores.shape[1]}"
+        )
     accepted, projections = _accepted_projections(dirs, lam, sample_scores)
     itself = np.array_equal(sample_scores, eval_scores)
     min_counts, (points, columns) = _min_counts(

@@ -11,6 +11,10 @@ leaves the pointwise inlier envelope, and seven shape outliers tuned to stay
 inside the envelope at every time point while remaining detectable under
 strong regularization (quantile levels u >= 0.9). See README for the tuning
 notes.
+
+J0 >= 1 is checked by the two primitives that index by it,
+`eigenvalue_tail_sums` and `trigonometric_basis`, and again by ScenarioSpec
+when a spec is made.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ def eigenvalue_tail_sums(J0: int) -> np.ndarray:
     estimate of the remainder, (L + 0.5)^-4 / 4; absolute error well below
     1e-12.
     """
+    _require_truncation(J0)
     L = max(J0, 2000)
     inv = np.arange(1, L + 1, dtype=float) ** -5
     # suffix[j-1] = sum_{l=j}^{L} l^-5
@@ -57,6 +62,7 @@ def eigenvalue_tail_sums(J0: int) -> np.ndarray:
 
 def trigonometric_basis(points: np.ndarray, J0: int) -> np.ndarray:
     """Rows: 1, sqrt(2) sin(2 pi k t), sqrt(2) cos(2 pi k t), ..."""
+    _require_truncation(J0)
     basis = np.empty((J0, points.size))
     basis[0] = 1.0
     for j in range(2, J0 + 1):
@@ -73,9 +79,9 @@ def trigonometric_basis(points: np.ndarray, J0: int) -> np.ndarray:
 @functools.cache
 def _kl_setup(p: int, J0: int):
     """The uniform grid, the J0 basis rows on it and the eigenvalue tail sums."""
-    _require_truncation(J0)
+    gamma = eigenvalue_tail_sums(J0)  # refuses J0 < 1 before the grid is built
     grid = make_uniform_grid(p)
-    basis, gamma = trigonometric_basis(grid.points, J0), eigenvalue_tail_sums(J0)
+    basis = trigonometric_basis(grid.points, J0)
     basis.flags.writeable = gamma.flags.writeable = False
     return grid, basis, gamma
 

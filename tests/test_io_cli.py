@@ -68,6 +68,21 @@ class TestIo:
             with pytest.raises(ValueError, match="indices"):
                 read_labels(str(path))
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,inlier\n1,jump,extra\n", "each row must be index,label"),
+            ("0,inlier\none,jump\n", "label indices must be integers"),
+        ],
+        ids=["three-fields", "non-integer-index"],
+    )
+    def test_labels_reader_refuses_a_malformed_row(self, body, message, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("index,label\n" + body)
+        with pytest.raises(ValueError) as raised:
+            read_labels(str(path))
+        assert str(raised.value) == f"{path}: {message}"
+
     def test_written_file_follows_umask(self, tmp_path):
         path = tmp_path / "out.txt"
         old = os.umask(0o022)

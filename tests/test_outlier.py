@@ -26,7 +26,7 @@ from rhdepth import (
     resolve_lambda,
 )
 from rhdepth import rhd
-from rhdepth.errors import EmptyPoolError
+from rhdepth import EmptyPoolError
 from rhdepth.funspace import fit_fpca_coordinates
 from rhdepth import evalkit
 from rhdepth.outlier import FenceRecord, flag_sweep, parallel_map

@@ -8,19 +8,26 @@ import pytest
 from rhdepth import (
     EigenSystem,
     FunctionalSample,
+    Grid,
     RankError,
     RegularizationSpec,
     ScenarioSpec,
+    approximate_rhd,
     calibrate_factor,
+    detect_outliers,
     draw_directions,
+    eigenvalue_tail_sums,
     fit_fpca,
     generate_inliers,
+    inlier_sup_bound,
     make_uniform_grid,
     normalized_ranks,
     roc_table,
+    trigonometric_basis,
     tukey_depth_2d_exact,
 )
 from rhdepth.funspace import fit_fpca_coordinates
+from rhdepth.rhd import depth_from_scores
 
 
 def _zero_eigenvalue_system():
@@ -36,6 +43,7 @@ def _zero_eigenvalue_system():
 
 
 SAMPLE = generate_inliers(5, seed=0)
+WIDER = generate_inliers(12, seed=0)
 SCENARIO = ScenarioSpec(n_inliers=10)
 MEDIAN = RegularizationSpec.from_quantile(0.5)
 
@@ -72,11 +80,59 @@ REFUSALS = {
         ValueError,
         "coordinates have 3 columns, the basis has 2",
     ),
+    "pool-of-another-J": (
+        lambda: approximate_rhd(
+            fit_fpca(WIDER, 4), draw_directions(fit_fpca(WIDER, 6), 100, 1), np.inf, WIDER
+        ),
+        ValueError,
+        "pool directions have 6 coordinates, the scores have 4 columns",
+    ),
+    "outliers-pool-of-another-J": (
+        lambda: detect_outliers(
+            fit_fpca(WIDER, 4), draw_directions(fit_fpca(WIDER, 6), 100, 1), np.inf, 3.0
+        ),
+        ValueError,
+        "pool directions have 6 coordinates, the scores have 4 columns",
+    ),
+    "depth-eval-columns": (
+        lambda: depth_from_scores(
+            draw_directions(fit_fpca(SAMPLE, 2), 10, 1), np.inf, np.zeros((5, 2)), np.zeros((3, 3))
+        ),
+        ValueError,
+        "evaluation scores have 3 columns, the sample scores have 2",
+    ),
+    "sample-overflow": (
+        lambda: FunctionalSample(Grid([0.0, 0.5, 1.0]), [[1e200, 1, 2], [1, 2, 3], [1, 1, 1]]),
+        ValueError,
+        "curve values are too large: their weighted squares overflow",
+    ),
+    "tail-sums-J0-0": (lambda: eigenvalue_tail_sums(0), ValueError, "J0 must be at least 1, got 0"),
+    "tail-sums-J0-negative": (
+        lambda: eigenvalue_tail_sums(-1),
+        ValueError,
+        "J0 must be at least 1, got -1",
+    ),
+    "basis-J0-0": (
+        lambda: trigonometric_basis(np.linspace(0.0, 1.0, 5), 0),
+        ValueError,
+        "J0 must be at least 1, got 0",
+    ),
+    "sup-bound-J0-0": (lambda: inlier_sup_bound(0), ValueError, "J0 must be at least 1, got 0"),
     "ranks-empty": (lambda: normalized_ranks([]), ValueError, "depths must be nonempty"),
     "tukey-no-points": (
         lambda: tukey_depth_2d_exact(np.empty((0, 2)), [0.0, 0.0]),
         ValueError,
         "need at least one point",
+    ),
+    "tukey-points-in-3d": (
+        lambda: tukey_depth_2d_exact(np.eye(4, 3), [0.0, 0.0]),
+        ValueError,
+        "points must be an (n, 2) array, got shape (4, 3)",
+    ),
+    "tukey-x-of-3-values": (
+        lambda: tukey_depth_2d_exact(np.eye(3, 2), [0.0, 0.0, 0.0]),
+        ValueError,
+        "x must hold 2 values, got 3",
     ),
     "inliers-none": (lambda: generate_inliers(0, seed=0), ValueError, "n must be at least 1"),
     "scenario-negative-count": (
