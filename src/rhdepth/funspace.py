@@ -50,9 +50,10 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Finite, strictly increasing time points of any span, with the
-    trapezoidal weights they derive (half of each point's two gaps); the
-    exact uniform grid on [0, 1] gets h/2, h, ..., h, h/2, h = 1 / (p - 1)."""
+    """Finite, strictly increasing time points of any span, a 1-D array of
+    at least 2, with the trapezoidal weights they derive (half of each
+    point's two gaps); the exact uniform grid on [0, 1] gets h/2, h, ..., h,
+    h/2, h = 1 / (p - 1)."""
 
     points: np.ndarray
     weights: np.ndarray = field(init=False)
@@ -60,9 +61,10 @@ class Grid:
     def __post_init__(self):
         points = _frozen_array(self.points)
         object.__setattr__(self, "points", points)
+        if points.ndim != 1:
+            raise ValueError(f"grid points must be a 1-D array, got shape {points.shape}")
         p = points.size
-        if points.ndim != 1 or p < 2:
-            raise ValueError(f"the grid needs at least 2 points, got {p}")
+        _require_grid_size(p)
         if not np.all(np.isfinite(points)):
             raise ValueError("grid points must be finite")
         with np.errstate(over="ignore"):
@@ -86,10 +88,15 @@ class Grid:
         return self.points.size
 
 
-def make_uniform_grid(p: int) -> Grid:
-    """Equispaced grid on [0, 1] with trapezoidal weights."""
+def _require_grid_size(p: int) -> None:
     if p < 2:
-        raise ValueError(f"grid size must be at least 2, got {p}")
+        raise ValueError(f"the grid needs at least 2 points, got {p}")
+
+
+def make_uniform_grid(p: int) -> Grid:
+    """Equispaced grid on [0, 1] with trapezoidal weights. Grid's size rule
+    runs first, since np.linspace refuses a negative p in its own words."""
+    _require_grid_size(p)
     return Grid(np.linspace(0.0, 1.0, p))
 
 

@@ -16,6 +16,11 @@ column and -inf/+inf on every other column. `detect_outliers` applies it
 to every curve, for the records, and runs the count kernel's self pass
 (its defaults) once, on the same product, for the depths.
 
+The fence rules live in the primitives that every fence passes through,
+so the report and both studies refuse alike: `rhd._candidate_fences`
+fewer than 4 curves, `_fences` a factor not positive and finite or whose
+fence overflows.
+
 `flag_sweep` is the replicate step of both simulation studies (a
 calibration null dataset, a ROC replicate in `evalkit.roc_table`): on a
 fitted eigensystem, one direction pool seeded from the caller's RNG, one
@@ -39,7 +44,7 @@ import numpy as np
 
 from .funspace import EigenSystem, _frozen_array, fit_fpca_coordinates
 from .rhd import DirectionSet, RegularizationSpec, _candidate_fences, _min_counts
-from .rhd import draw_directions, resolve_lambda
+from .rhd import _require_fence_sample, draw_directions, resolve_lambda
 
 FACTOR_GRID = (1.5, 2.0, 2.5, 3.0, 3.5)
 TARGET_RATE = 0.007
@@ -78,24 +83,21 @@ class CalibrationResult:
     rates: dict
 
 
-def _require_fence_sample(n: int) -> None:
-    if n < 4:
-        raise ValueError("need at least 4 curves for quartile fences")
-
-
 def _fences(rows, columns, q1, q3, factors):
     """IQR, lower and upper fence per pair, a row per factor when factors
     is (F, 1), and whether each entry of the (q, k) rows lies outside its
     column's fence: each pair's fence sits on its column, -inf/+inf on the
-    others, and pairs that share a column share its fence. A factor so
-    large that a fence overflows is refused by name."""
+    others, and pairs that share a column share its fence. The first
+    factor that is not positive and finite, or whose fence overflows, is
+    refused by name; every caller's fences are set here."""
     iqr = q3 - q1
     with np.errstate(over="ignore", invalid="ignore"):
         lower, upper = q1 - factors * iqr, q3 + factors * iqr
-    finite = np.isfinite(lower) & np.isfinite(upper)
-    if not finite.all():
-        factor = float(np.broadcast_to(factors, finite.shape)[~finite][0])
-        raise ValueError(f"factor {factor!r} is too large: a fence overflows")
+    ok = (factors > 0) & np.isfinite(lower) & np.isfinite(upper)
+    if not ok.all():
+        f = float(np.broadcast_to(factors, ok.shape)[~ok][0])
+        why = "is too large: a fence overflows" if 0 < f < np.inf else "must be positive and finite"
+        raise ValueError(f"factor {f!r} {why}")
     shape = (*lower.shape[:-1], 1, rows.shape[1])
     lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
     lo[..., 0, columns], hi[..., 0, columns] = lower, upper
@@ -136,9 +138,6 @@ def detect_outliers(
     eig: EigenSystem, dirs: DirectionSet, lam: float, factor: float
 ) -> OutlierReport:
     """Flag outliers in the fitted sample at regularization lambda."""
-    if not 0 < factor < np.inf:
-        raise ValueError("factor must be positive and finite")
-    _require_fence_sample(eig.scores.shape[0])
     projections, [(owners, columns, directions, (q1, q3))] = _candidate_fences(eig, dirs, [lam])
     depths = _frozen_array(_min_counts(projections)[0] / projections.shape[0])
     iqr, lower, upper, outside = _fences(projections, columns, q1, q3, factor)

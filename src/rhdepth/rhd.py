@@ -188,16 +188,24 @@ def _sorted_blocks(projections: np.ndarray):
 def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
     """The pool indices accepted at lambda and the (n, k) projections of the
     score rows on them: the one product the count kernel and fences share,
-    and the one place a pool meets scores, so a pool of another J is refused."""
+    and the one place a pool meets scores and lambda, so a pool of another J
+    and a lambda that is not positive (NaN too) are refused."""
     width, columns = dirs.coefficients.shape[1], scores.shape[1]
     if width != columns:
         raise ValueError(
             f"pool directions have {width} coordinates, the scores have {columns} columns"
         )
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
     accepted = dirs.accepted(lam)
     if accepted.size == 0:
         raise EmptyPoolError(lam, float(dirs.rkhs_norms.min()))
     return accepted, scores @ dirs.coefficients[accepted].T
+
+
+def _require_fence_sample(n: int) -> None:
+    if n < 4:
+        raise ValueError("need at least 4 curves for quartile fences")
 
 
 def _sorted_quartiles(rows: np.ndarray):
@@ -232,7 +240,9 @@ def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lams):
     directions, and (Q1, Q3) of those columns, all off the sorted blocks.
     No count kernel runs: a direction's smallest count #{i : p_i >= p_j} is
     its top tie run, so the candidates are the curves on top of the
-    directions with the shortest run; only a tied column's run is counted."""
+    directions with the shortest run; only a tied column's run is counted.
+    Quartile fences need 4 curves: fewer are refused before the product."""
+    _require_fence_sample(eig.scores.shape[0])
     accepted, projections = _accepted_projections(dirs, max(lams, default=np.inf), eig.scores)
     per_block = itertools.starmap(_column_tops, _sorted_blocks(projections))
     q1, q3, top, tops, tied = map(np.hstack, zip(*per_block))

@@ -27,6 +27,7 @@ from rhdepth import (
     tukey_depth_2d_exact,
 )
 from rhdepth.funspace import fit_fpca_coordinates
+from rhdepth.outlier import flag_sweep
 from rhdepth.rhd import depth_from_scores
 
 
@@ -40,6 +41,22 @@ def _zero_eigenvalue_system():
         scores=np.zeros((3, 2)),
         usable_rank=1,
     )
+
+
+def _sweep(n, factor):
+    """One flag_sweep at the median lambda on n curves, with one factor."""
+    eig = fit_fpca(generate_inliers(n, seed=0), 2)
+    return flag_sweep(eig, 50, np.random.default_rng(1), (MEDIAN,), (factor,))
+
+
+def _outliers(lam, factor):
+    eig = fit_fpca(WIDER, 2)
+    return detect_outliers(eig, draw_directions(eig, 50, seed=1), lam, factor)
+
+
+def _depth(lam):
+    eig = fit_fpca(WIDER, 2)
+    return approximate_rhd(eig, draw_directions(eig, 50, seed=1), lam, WIDER)
 
 
 SAMPLE = generate_inliers(5, seed=0)
@@ -135,6 +152,60 @@ REFUSALS = {
         "x must hold 2 values, got 3",
     ),
     "inliers-none": (lambda: generate_inliers(0, seed=0), ValueError, "n must be at least 1"),
+    "sweep-factor-negative": (
+        lambda: _sweep(12, -1.0),
+        ValueError,
+        "factor -1.0 must be positive and finite",
+    ),
+    "sweep-factor-0": (lambda: _sweep(12, 0.0), ValueError, "factor 0.0 must be positive and finite"),
+    "sweep-factor-nan": (
+        lambda: _sweep(12, float("nan")),
+        ValueError,
+        "factor nan must be positive and finite",
+    ),
+    "sweep-factor-inf": (
+        lambda: _sweep(12, float("inf")),
+        ValueError,
+        "factor inf must be positive and finite",
+    ),
+    "sweep-three-curves": (
+        lambda: _sweep(3, 3.0),
+        ValueError,
+        "need at least 4 curves for quartile fences",
+    ),
+    "roc-factor-negative": (
+        lambda: roc_table(SCENARIO, 2, 10, 1, seed=0, factor_grid=(-1.0,)),
+        ValueError,
+        "factor -1.0 must be positive and finite",
+    ),
+    "outliers-factor-negative": (
+        lambda: _outliers(np.inf, -1.0),
+        ValueError,
+        "factor -1.0 must be positive and finite",
+    ),
+    "outliers-lambda-nan": (
+        lambda: _outliers(float("nan"), 3.0),
+        ValueError,
+        "lambda must be positive",
+    ),
+    "depth-lambda-nan": (lambda: _depth(float("nan")), ValueError, "lambda must be positive"),
+    "depth-lambda-0": (lambda: _depth(0.0), ValueError, "lambda must be positive"),
+    "depth-lambda-negative": (lambda: _depth(-1.0), ValueError, "lambda must be positive"),
+    "grid-of-2-by-2": (
+        lambda: Grid(np.zeros((2, 2))),
+        ValueError,
+        "grid points must be a 1-D array, got shape (2, 2)",
+    ),
+    "uniform-grid-of-1": (
+        lambda: make_uniform_grid(1),
+        ValueError,
+        "the grid needs at least 2 points, got 1",
+    ),
+    "uniform-grid-negative": (
+        lambda: make_uniform_grid(-1),
+        ValueError,
+        "the grid needs at least 2 points, got -1",
+    ),
     "scenario-negative-count": (
         lambda: ScenarioSpec(n_inliers=10, outlier_counts={"jump": -1}),
         ValueError,
