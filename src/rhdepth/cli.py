@@ -31,6 +31,10 @@ Environment overrides: RHDEPTH_SEED and RHDEPTH_THREADS apply when the
 corresponding flag is not given, and are checked as that flag is. A seed
 taken from RHDEPTH_SEED is recorded in the manifest's argv as --seed. The
 thread count is capped at the CPU count.
+
+argparse prints the refusals found while parsing. Every later one, an
+environment value's included, is an exception that `run` prints as one
+`rhdepth: error:` line.
 """
 
 from __future__ import annotations
@@ -145,30 +149,23 @@ _FLAGS = {
 }
 
 
-def _setting(args, name: str, env: str, parse, parser):
+def _setting(args, name: str, env: str, parse):
     """The --name flag's value, else env's as read by parse, or None."""
     value = getattr(args, name)
     if value is None and env in os.environ:
         try:
             value = parse(os.environ[env])
         except argparse.ArgumentTypeError as exc:
-            parser.exit(1, f"rhdepth: error: {env} {exc}\n")
+            raise ValueError(f"{env} {exc}") from None
     return value
 
 
-def _resolve_seed(args, parser) -> int:
-    seed = _setting(args, "seed", "RHDEPTH_SEED", _seed, parser)
-    if seed is None:
-        parser.exit(1, "rhdepth: error: --seed is required (or set RHDEPTH_SEED)\n")
-    return seed
-
-
-def _resolve_threads(args, parser) -> int:
+def _resolve_threads(args) -> int:
     """Worker threads, at least 1 and at most the CPU count.
 
     Outputs do not depend on the thread count, so the cap changes none.
     """
-    threads = _setting(args, "threads", "RHDEPTH_THREADS", _count, parser)
+    threads = _setting(args, "threads", "RHDEPTH_THREADS", _count)
     cpus = os.cpu_count() or 1
     return cpus if threads is None else min(threads, cpus)
 
@@ -380,16 +377,18 @@ def _build_parser() -> _Parser:
 
 
 def _checked_outputs(args, cmd) -> str:
-    """The manifest's path, once no two outputs (it included) resolve to one
-    file, no output resolves to an input, and no output is a directory, lies
-    in a missing one, or exists as anything but a regular file (a FIFO, say,
-    which the atomic rename would replace)."""
+    """The manifest's path, once no output is empty, no two outputs (it
+    included) resolve to one file, no output resolves to an input, and no
+    output is a directory, lies in a missing one, or exists as anything but
+    a regular file (a FIFO, say, which the atomic rename would replace)."""
     flags = [f"--{f}" for f in (*cmd.recorded, *cmd.unrecorded) if f.startswith("out")]
     named = {flag: vars(args)[flag[2:].replace("-", "_")] for flag in flags}
     manifest = named[f"the manifest of {flags[0]}"] = named[flags[0]] + ".manifest.json"
     inputs = [f for f in cmd.recorded if f in ("input", "eval", "scenario") and vars(args)[f]]
     seen = {os.path.realpath(vars(args)[f]): f"--{f}" for f in reversed(inputs)}
     for name, path in named.items():
+        if not path:  # realpath would read it as the working directory
+            raise ValueError(f"{name} '' is an empty path")
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"{seen[real]} and {name} are the same file {path!r}")
@@ -403,16 +402,16 @@ def _checked_outputs(args, cmd) -> str:
     return manifest
 
 
-def _run_command(args, argv, parser) -> int:
+def _run_command(args, argv) -> int:
     """Resolve the seed, check the outputs, run the pipeline, write its outputs and manifest."""
     start = time.monotonic()
     cmd = _COMMANDS[args.command]
     seeded = "seed" in cmd.unrecorded
-    if seeded:
-        from_env = args.seed is None
-        args.seed = _resolve_seed(args, parser)
-        if from_env:  # recorded as a flag, so the argv replays without RHDEPTH_SEED
-            argv = [*argv, "--seed", str(args.seed)]
+    if seeded and args.seed is None:
+        args.seed = _setting(args, "seed", "RHDEPTH_SEED", _seed)
+        if args.seed is None:
+            raise ValueError("--seed is required (or set RHDEPTH_SEED)")
+        argv = [*argv, "--seed", str(args.seed)]  # replays without RHDEPTH_SEED
     manifest_path = _checked_outputs(args, cmd)
     outputs, resolved = cmd.pipeline(args)
     for path, content in outputs.items():
@@ -443,8 +442,8 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.threads = _resolve_threads(args, parser)
-        return _run_command(args, argv, parser)
+        args.threads = _resolve_threads(args)
+        return _run_command(args, argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError, MemoryError, RankError, EmptyPoolError) as exc:

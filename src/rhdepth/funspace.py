@@ -272,6 +272,8 @@ def fit_fpca_coordinates(basis: EigenSystem, coords) -> EigenSystem:
     dataset of the fitted sample is such a sample.
     """
     coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2:
+        raise ValueError(f"coordinates must be a 2-D array, got shape {coords.shape}")
     J = coords.shape[1]
     if J != basis.truncation:
         raise ValueError(f"coordinates have {J} columns, the basis has {basis.truncation}")

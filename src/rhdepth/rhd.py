@@ -337,6 +337,9 @@ def depth_from_scores(
     The depth at x is the minimum over accepted directions a of the
     fraction of sample rows S_i with S_i·a >= x·a.
     """
+    for name, scores in (("sample", sample_scores), ("evaluation", eval_scores)):
+        if scores.ndim != 2:
+            raise ValueError(f"{name} scores must be a 2-D array, got shape {scores.shape}")
     if eval_scores.shape[1] != sample_scores.shape[1]:
         raise ValueError(
             f"evaluation scores have {eval_scores.shape[1]} columns, "

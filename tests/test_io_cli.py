@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -330,20 +331,19 @@ class TestCli:
         assert not (tmp_path / "d.csv").exists()
 
     def test_resolve_threads(self, monkeypatch):
-        parser = _build_parser()
         cpus = os.cpu_count() or 1
         monkeypatch.delenv("RHDEPTH_THREADS", raising=False)
-        assert _resolve_threads(argparse.Namespace(threads=1), parser) == 1
-        assert _resolve_threads(argparse.Namespace(threads=10**9), parser) == cpus
-        assert _resolve_threads(argparse.Namespace(threads=None), parser) == cpus
+        assert _resolve_threads(argparse.Namespace(threads=1)) == 1
+        assert _resolve_threads(argparse.Namespace(threads=10**9)) == cpus
+        assert _resolve_threads(argparse.Namespace(threads=None)) == cpus
         monkeypatch.setenv("RHDEPTH_THREADS", str(10**9))
-        assert _resolve_threads(argparse.Namespace(threads=None), parser) == cpus
-        assert _resolve_threads(argparse.Namespace(threads=1), parser) == 1
-        for bad in ("0", "-2", "many"):
+        assert _resolve_threads(argparse.Namespace(threads=None)) == cpus
+        assert _resolve_threads(argparse.Namespace(threads=1)) == 1
+        for bad, rule in (("0", "at least 1"), ("-2", "at least 1"), ("many", "an integer")):
             monkeypatch.setenv("RHDEPTH_THREADS", bad)
-            with pytest.raises(SystemExit) as exc:
-                _resolve_threads(argparse.Namespace(threads=None), parser)
-            assert exc.value.code == 1
+            message = f"RHDEPTH_THREADS must be {rule}, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _resolve_threads(argparse.Namespace(threads=None))
 
     def test_unknown_subcommand_exits_1(self):
         assert run(["frobnicate"]) == 1
@@ -697,6 +697,23 @@ def test_unwritable_output_refused_before_the_pipeline(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"--out {out!r}" in err and message in err
     assert ".tmp" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("depth --input {s} --u 0.5 --seed 1 --out", "--out"),
+        ("simulate --scenario {c} --seed 1 --out-labels {o} --out-sample", "--out-sample"),
+        (_SIMULATE, "--out-labels"),
+    ],
+    ids=["out", "out-sample", "out-labels"],
+)
+def test_empty_output_path_refused(argv, flag, cli_files, capsys, monkeypatch):
+    monkeypatch.setattr("rhdepth.cli.generate_scenario", _refuse_pipeline)
+    monkeypatch.setattr("rhdepth.cli.read_sample", _refuse_pipeline)
+    assert run(argv.format(**cli_files).split() + [""]) == 1
+    assert capsys.readouterr().err == f"rhdepth: error: {flag} '' is an empty path\n"
+    assert not os.path.exists(cli_files["o"])
 
 
 @pytest.mark.parametrize(

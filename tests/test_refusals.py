@@ -118,6 +118,37 @@ REFUSALS = {
         ValueError,
         "evaluation scores have 3 columns, the sample scores have 2",
     ),
+    "depth-sample-1-D": (
+        lambda: depth_from_scores(
+            draw_directions(fit_fpca(SAMPLE, 2), 10, 1), np.inf, np.zeros(2), np.zeros((3, 2))
+        ),
+        ValueError,
+        "sample scores must be a 2-D array, got shape (2,)",
+    ),
+    "depth-eval-1-D": (
+        lambda: depth_from_scores(
+            draw_directions(fit_fpca(SAMPLE, 2), 10, 1), np.inf, np.zeros((5, 2)), np.zeros(2)
+        ),
+        ValueError,
+        "evaluation scores must be a 2-D array, got shape (2,)",
+    ),
+    "depth-eval-3-D": (
+        lambda: depth_from_scores(
+            draw_directions(fit_fpca(SAMPLE, 2), 10, 1), np.inf, np.zeros((5, 2)), np.zeros((1, 3, 2))
+        ),
+        ValueError,
+        "evaluation scores must be a 2-D array, got shape (1, 3, 2)",
+    ),
+    "fpca-coordinates-1-D": (
+        lambda: fit_fpca_coordinates(fit_fpca(SAMPLE, 2), np.zeros(2)),
+        ValueError,
+        "coordinates must be a 2-D array, got shape (2,)",
+    ),
+    "fpca-coordinates-3-D": (
+        lambda: fit_fpca_coordinates(fit_fpca(SAMPLE, 2), np.zeros((2, 5, 2))),
+        ValueError,
+        "coordinates must be a 2-D array, got shape (2, 5, 2)",
+    ),
     "sample-overflow": (
         lambda: FunctionalSample(Grid([0.0, 0.5, 1.0]), [[1e200, 1, 2], [1, 2, 3], [1, 1, 1]]),
         ValueError,

@@ -256,6 +256,18 @@ class TestDepth:
             if prev is not None:
                 assert np.all(depths <= prev)
             prev = depths
+        # Real draws nest too: the pool of M proposals is the first M rows of
+        # the pool of 2M with the same seed, with the same data rows after
+        # them, so at a fixed lambda the larger pool's depths are no larger.
+        for M in (64, 500):
+            pool, doubled = draw_directions(eig, M, seed=16), draw_directions(eig, 2 * M, seed=16)
+            for name in ("coefficients", "rkhs_norms"):
+                a, b = getattr(pool, name), getattr(doubled, name)
+                assert np.array_equal(a[:M], b[:M]) and np.array_equal(a[M:], b[2 * M :])
+            lams = [resolve_lambda(RegularizationSpec.from_quantile(u), pool) for u in (0.5, 0.9)]
+            for lam in (*lams, np.inf):
+                depths = approximate_rhd(eig, pool, lam, s).depths
+                assert np.all(approximate_rhd(eig, doubled, lam, s).depths <= depths)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
