@@ -15,9 +15,9 @@ is read, as in `argument --u: must lie in (0, 1), got '2'`: a number (an
 integer for a count or the seed); --u or a --u-grid entry in (0, 1);
 --lambda positive, NaN refused (inf means no regularization); --factor or
 a --factor-grid entry positive and finite; --J, --M, --B, --replicates and
---threads at least 1; the seed at least 0; exactly one of --u and --lambda,
-and of --factor and --calibrate. JSON outputs and manifests are strict
-JSON: an infinite lambda is the string "inf".
+--threads at least 1; the seed at least 0; a path not empty; exactly one of
+--u and --lambda, and of --factor and --calibrate. JSON outputs and
+manifests are strict JSON: an infinite lambda is the string "inf".
 
 Scenario config files are plain key=value lines; the seed comes from
 --seed, not from the file. For example:
@@ -88,9 +88,9 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _number(convert, test, expect: str):
-    """An argparse type: the text read by convert (int or float), kept when
-    test(value) holds; expect says what test asks, in the error."""
+def _checked(convert, test, expect: str):
+    """An argparse type: the text read by convert (int, float or str), kept
+    when test(value) holds; expect says what test asks, in the error."""
     kind = "an integer" if convert is int else "a number"
 
     def parse(text: str):
@@ -105,11 +105,12 @@ def _number(convert, test, expect: str):
     return parse
 
 
-_count = _number(int, lambda v: v >= 1, "be at least 1")
-_seed = _number(int, lambda v: v >= 0, "be at least 0")
-_quantile = _number(float, lambda v: 0 < v < 1, "lie in (0, 1)")  # a quantile level
-_lambda = _number(float, lambda v: v > 0, "be positive")  # refuses NaN; inf is allowed
-_factor = _number(float, lambda v: 0 < v < math.inf, "be positive and finite")  # a fence factor
+_count = _checked(int, lambda v: v >= 1, "be at least 1")
+_seed = _checked(int, lambda v: v >= 0, "be at least 0")
+_quantile = _checked(float, lambda v: 0 < v < 1, "lie in (0, 1)")  # a quantile level
+_lambda = _checked(float, lambda v: v > 0, "be positive")  # refuses NaN; inf is allowed
+_factor = _checked(float, lambda v: 0 < v < math.inf, "be positive and finite")  # a fence factor
+_path = _checked(str, bool, "not be empty")
 
 
 def _grid(parse):
@@ -125,9 +126,9 @@ def _grid(parse):
 # namespace, and its manifest key, is the name with '-' read as '_'.
 _FLAGS = {
     "threads": dict(type=_count, help="worker threads"),
-    "input": dict(required=True, help="sample CSV (grid row + curves)"),
-    "eval": dict(help="evaluation-point CSV; defaults to the sample"),
-    "scenario": dict(required=True, help="key=value scenario config"),
+    "input": dict(type=_path, required=True, help="sample CSV (grid row + curves)"),
+    "eval": dict(type=_path, help="evaluation-point CSV; defaults to the sample"),
+    "scenario": dict(type=_path, required=True, help="key=value scenario config"),
     "J": dict(type=_count, default=6, help="truncation level (default 6)"),
     "M": dict(
         type=_count,
@@ -143,9 +144,9 @@ _FLAGS = {
     "factor-grid": dict(type=_grid(_factor), default=FACTOR_GRID, help="fence factors"),
     "replicates": dict(type=_count, default=100, help="scenario replicates"),
     "seed": dict(type=_seed, help="RNG seed"),
-    "out": dict(required=True, help="output path"),
-    "out-sample": dict(required=True, help="output curve CSV"),
-    "out-labels": dict(required=True, help="output labels CSV"),
+    "out": dict(type=_path, required=True, help="output path"),
+    "out-sample": dict(type=_path, required=True, help="output curve CSV"),
+    "out-labels": dict(type=_path, required=True, help="output labels CSV"),
 }
 
 
@@ -182,7 +183,7 @@ def parse_scenario_config(path: str) -> ScenarioSpec:
     replicate from its --seed.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return _scenario_from_lines(handle.read().splitlines())
     except ValueError as exc:  # UnicodeDecodeError included
         raise ValueError(f"{path}: {exc}") from None
@@ -377,18 +378,16 @@ def _build_parser() -> _Parser:
 
 
 def _checked_outputs(args, cmd) -> str:
-    """The manifest's path, once no output is empty, no two outputs (it
-    included) resolve to one file, no output resolves to an input, and no
-    output is a directory, lies in a missing one, or exists as anything but
-    a regular file (a FIFO, say, which the atomic rename would replace)."""
+    """The manifest's path, once no two outputs (it included) resolve to one
+    file, no output resolves to an input, and no output is a directory, lies
+    in a missing one, or exists as anything but a regular file (a FIFO, say,
+    which the atomic rename would replace)."""
     flags = [f"--{f}" for f in (*cmd.recorded, *cmd.unrecorded) if f.startswith("out")]
     named = {flag: vars(args)[flag[2:].replace("-", "_")] for flag in flags}
     manifest = named[f"the manifest of {flags[0]}"] = named[flags[0]] + ".manifest.json"
     inputs = [f for f in cmd.recorded if f in ("input", "eval", "scenario") and vars(args)[f]]
     seen = {os.path.realpath(vars(args)[f]): f"--{f}" for f in reversed(inputs)}
     for name, path in named.items():
-        if not path:  # realpath would read it as the working directory
-            raise ValueError(f"{name} '' is an empty path")
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"{seen[real]} and {name} are the same file {path!r}")

@@ -22,7 +22,8 @@ number is a Python float literal without underscores and in ASCII digits
 are skipped; there are no comment lines. The reader checks only that there
 is a grid row and a curve row: the Grid and FunctionalSample refuse the
 rest, and read_sample names the file in the message. Labels CSV:
-index,label rows with a header, read by the csv module.
+index,label rows with a header, read by the csv module. Both readers skip a
+leading UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _read_csv(path: str) -> list:
     module's size limit, or bytes that are not UTF-8) raises ValueError
     naming the file."""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             return list(csv.reader(handle))
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -93,7 +94,7 @@ def read_sample(path: str) -> FunctionalSample:
     """Load a curve CSV: its first row is the Grid, the rest the curves. A
     file that holds no usable sample raises ValueError naming it."""
     try:
-        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+        with open(path, encoding="utf-8-sig") as handle, warnings.catch_warnings():
             # loadtxt warns on a file without data; the row count refuses it.
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)

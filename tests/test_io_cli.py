@@ -1,6 +1,7 @@
 """CSV/JSON round-trips and the command-line interface."""
 
 import argparse
+import codecs
 import contextlib
 import csv
 import io
@@ -54,6 +55,17 @@ class TestIo:
         assert np.array_equal(back.values, sample.values)
         assert np.array_equal(back.grid.points, sample.grid.points)
         assert np.array_equal(back.grid.weights, sample.grid.weights)
+
+    def test_sample_reader_skips_a_byte_order_mark(self, sample_csv, tmp_path):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + Path(sample_csv).read_bytes())
+        assert _same_sample(read_sample(str(marked)), read_sample(sample_csv))
+
+    def test_labels_reader_skips_a_byte_order_mark(self, tmp_path):
+        plain, marked = tmp_path / "labels.csv", tmp_path / "bom.csv"
+        write_labels(str(plain), ["inlier", "jump"])
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert read_labels(str(marked)) == read_labels(str(plain)) == ["inlier", "jump"]
 
     def test_write_is_stable(self, tmp_path):
         sample = generate_inliers(5, seed=2)
@@ -158,6 +170,12 @@ class TestScenarioConfig:
         sized.write_text("J0 = 15\nn_inliers = 10\noutliers = jump\np = 50\n")
         spec = ScenarioSpec(n_inliers=10, outlier_counts={"jump": 1})
         assert parse_scenario_config(str(bare)) == parse_scenario_config(str(sized)) == spec
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(b"n_inliers = 10\noutliers = jump:2\n")
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert parse_scenario_config(str(marked)) == parse_scenario_config(str(plain))
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -705,15 +723,23 @@ def test_unwritable_output_refused_before_the_pipeline(
         ("depth --input {s} --u 0.5 --seed 1 --out", "--out"),
         ("simulate --scenario {c} --seed 1 --out-labels {o} --out-sample", "--out-sample"),
         (_SIMULATE, "--out-labels"),
+        ("depth --u 0.5 --seed 1 --out {o} --input", "--input"),
+        ("depth --input {s} --u 0.5 --seed 1 --out {o} --eval", "--eval"),
+        ("simulate --seed 1 --out-sample {o} --out-labels {o}.lab --scenario", "--scenario"),
     ],
-    ids=["out", "out-sample", "out-labels"],
+    ids=["out", "out-sample", "out-labels", "input", "eval", "scenario"],
 )
 def test_empty_output_path_refused(argv, flag, cli_files, capsys, monkeypatch):
+    """Every path flag, input or output, refuses '' when it is parsed."""
     monkeypatch.setattr("rhdepth.cli.generate_scenario", _refuse_pipeline)
     monkeypatch.setattr("rhdepth.cli.read_sample", _refuse_pipeline)
-    assert run(argv.format(**cli_files).split() + [""]) == 1
-    assert capsys.readouterr().err == f"rhdepth: error: {flag} '' is an empty path\n"
-    assert not os.path.exists(cli_files["o"])
+    monkeypatch.setattr("rhdepth.cli.parse_scenario_config", _refuse_pipeline)
+    argv = argv.format(**cli_files).split() + [""]
+    assert run(argv) == 1
+    expected = f"rhdepth {argv[0]}: error: argument {flag}: must not be empty, got ''\n"
+    assert capsys.readouterr().err == expected
+    assert not os.path.exists(cli_files["o"]) and not os.path.exists(cli_files["o"] + ".lab")
+    assert not os.path.exists(cli_files["o"] + ".manifest.json")
 
 
 @pytest.mark.parametrize(
@@ -893,7 +919,9 @@ def test_bad_seed_message_names_its_source(sample_csv, tmp_path, capsys, monkeyp
 _BAD_FILES = {
     "sample-not-utf8": ("bad.csv", b"\xff0.0,1.0\n1.0,2.0\n3.0,4.0\n"),
     "sample-not-numeric": ("bad.csv", b"0.0,1.0\nx,2.0\n3.0,4.0\n"),
+    "sample-marked-not-utf8": ("bad.csv", codecs.BOM_UTF8 + b"0.0,1.0\n1.0,\xff2.0\n3.0,4.0\n"),
     "scenario-not-utf8": ("bad.cfg", b"n_inliers = 6\n\xff\n"),
+    "scenario-marked-not-utf8": ("bad.cfg", codecs.BOM_UTF8 + b"n_inliers = 6\n\xff\n"),
     "scenario-not-integer": ("bad.cfg", b"n_inliers = abc\n"),
 }
 

@@ -1,5 +1,6 @@
 """Direction pools, lambda resolution, and approximate depth."""
 
+import math
 import re
 import tracemalloc
 
@@ -26,7 +27,7 @@ from rhdepth.funspace import fit_fpca
 from rhdepth.outlier import detect_outliers
 from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _accepted_projections, _min_counts
 from rhdepth.rhd import _sorted_blocks, _sorted_quartiles, depth_from_scores
-from rhdepth.simlab import generate_inliers
+from rhdepth.simlab import eigenvalue_tail_sums, generate_inliers, trigonometric_basis
 
 
 def _toy_eigensystem(eigenvalues, scores=None):
@@ -268,6 +269,20 @@ class TestDepth:
             for lam in (*lams, np.inf):
                 depths = approximate_rhd(eig, pool, lam, s).depths
                 assert np.all(approximate_rhd(eig, doubled, lam, s).depths <= depths)
+        # So a curve is settled, its depth on the M pool already reached by the
+        # M/2 pool, exactly when one of its M-pool minimizing directions is a
+        # proposal below M/2 or a data row (index >= M).
+        spec = ScenarioSpec(n_inliers=400, outlier_counts={"jump": 1, "wiggle": 1}, seed=3)
+        paper = generate_scenario(spec)[0]
+        eig = fit_fpca(paper, 6)
+        for M, seed in ((1000, 7), (500, 7), (64, 1)):
+            pool, half = draw_directions(eig, M, seed), draw_directions(eig, M // 2, seed)
+            lam95 = resolve_lambda(RegularizationSpec.from_quantile(0.95), pool)
+            for lam in (3.0, lam95, np.inf):
+                full = approximate_rhd(eig, pool, lam, paper)
+                settled = [np.any((d < M // 2) | (d >= M)) for d in full.minimizing_directions]
+                same = approximate_rhd(eig, half, lam, paper).depths == full.depths
+                assert np.array_equal(same, settled)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
@@ -374,6 +389,30 @@ class TestExact3DOracle:
         excess = naive - exact
         print(f"3-D oracle: exact {np.mean(excess == 0):.4f}, mean excess {excess.mean():.5f}")
         assert np.all(excess >= 0)
+
+
+class TestGaussianPopulationOracle:
+    """The paper's consistency property at lambda = inf: on Gaussian curves
+    the sample depth converges to the population halfspace depth, which for
+    scores N(0, diag(gamma)) is Phi-bar of the Mahalanobis norm,
+    D(x) = erfc(sqrt(x' Gamma^-1 x) / sqrt(2)) / 2."""
+
+    # With these seeds max |D_n - D| * sqrt(n) reads 1.805 at n = 4000 and
+    # 1.243 at n = 1000; 10 other (sample, pool, evaluation) seed triples at
+    # n = 4000 gave 0.76-1.51. C leaves 38% over the largest of these.
+    C = 2.5
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_depth_within_c_over_root_n_of_the_population_depth(self, n):
+        sample = generate_inliers(n, 1, gaussian=True)
+        curves = generate_inliers(400, 2, gaussian=True)
+        eig = fit_fpca(sample, 3)
+        depths = approximate_rhd(eig, draw_directions(eig, 1000, 4), np.inf, curves).depths
+        grid = make_uniform_grid(50)  # the simlab basis is orthonormal under its weights
+        x = curves.values @ (trigonometric_basis(grid.points, 3) * grid.weights).T
+        radius = np.sqrt((x**2 / eigenvalue_tail_sums(15)[:3]).sum(axis=1))
+        population = np.array([math.erfc(r / math.sqrt(2)) / 2 for r in radius])
+        assert np.abs(depths - population).max() <= self.C / math.sqrt(n)
 
 
 def _reference_min_counts(sample_scores, eval_scores, coeff):
