@@ -51,6 +51,8 @@ import time
 from importlib.metadata import PackageNotFoundError, version
 from typing import Callable
 
+import numpy as np
+
 from .evalkit import DEFAULT_QUANTILE_GRID, normalized_ranks, roc_table
 from .funspace import RankError, fit_fpca
 from .io import (
@@ -258,9 +260,13 @@ def _depth(args):
         raise ValueError(f"--eval {args.eval}: {exc}") from None
     del evaluation  # not held while the CSV text is built
     table = normalized_ranks(result.depths)
-    depths, ranks = result.depths.tolist(), table.normalized.tolist()
+    # Depths are multiples of 1/n, so few are distinct; equal depths share
+    # a rank, and each distinct depth's fields are written once.
+    _, first, inverse = np.unique(result.depths, return_index=True, return_inverse=True)
+    depths, ranks = result.depths[first].tolist(), table.normalized[first].tolist()
+    fields = csv_text(zip(depths, ranks, itertools.repeat(lam))).splitlines()
     ties = map(len, result.minimizing_directions)
-    rows = zip(itertools.count(), depths, ranks, itertools.repeat(lam), ties)
+    rows = zip(itertools.count(), map(fields.__getitem__, inverse.tolist()), ties)
     header = ("eval_id", "depth", "normalized_rank", "lambda_used", "n_min_directions")
     return {args.out: csv_text([header, *rows])}, {"lambda_used": lam}
 
@@ -283,8 +289,8 @@ def _outliers(args):
         "factor": report.factor,
         "lambda_used": _json_float(report.lambda_used),
         "depths": report.depths.tolist(),
-        # vars keeps field order; asdict would deep-copy every record.
-        "fences": [dict(vars(f)) for f in report.fences],
+        # Each record's own field dict, in field order; asdict would deep-copy it.
+        "fences": [vars(f) for f in report.fences],
     }
     if calib:
         del calib["rates"]  # only the calibrate command writes them

@@ -5,13 +5,18 @@ creates exclusively in the target's directory, with the mode the umask
 gives it (the umask is never changed), then renamed onto the target.
 
 Every CSV output is written by `csv_text`, each field by str(): a float as
-its shortest round-trip repr, so a curve file reads back exactly. Every JSON
-output is written by `json_text`: the bytes of
-json.dumps(payload, indent=2, allow_nan=False), built with one str.join per
-container instead of the pure-Python encoder that indenting selects. Its
-writers, keyed by exact type, take what the program writes; json.dumps
-itself writes, or refuses, the rest: a non-str key, a subclass such as
-np.float64, a NaN or an infinity, a type json cannot write.
+its shortest round-trip repr, so a curve file reads back exactly. The depth
+command hands it one pre-joined depth,normalized_rank,lambda_used text per
+distinct depth, itself written by csv_text. Every JSON output is written by
+`json_text`: the bytes of json.dumps(payload, indent=2, allow_nan=False),
+built with one str.join per container instead of the pure-Python encoder
+that indenting selects. Its writers, keyed by exact type, take what the
+program writes; json.dumps itself writes, or refuses, the rest: a non-str
+key, a subclass such as np.float64, a NaN or an infinity, a type json
+cannot write. Two kinds of list take one pass instead of a writer call per
+item: all exact ints or all finite exact floats, by one map of the type's
+repr; and records, exact dicts that share one tuple of str keys (the fence
+records), a column of values at a time into one text template.
 
 Curve CSV format: first row holds the grid points, which become a Grid as
 read (the Grid derives its quadrature weights), each subsequent row one
@@ -159,8 +164,43 @@ def _list_text(items, indent: str) -> str:
     if not items:
         return "[]"
     inner = indent + "  "
-    texts = [_WRITERS.get(type(v), _dumps_text)(v, inner) for v in items]
-    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+    return "[" + inner + ("," + inner).join(_item_texts(items, inner)) + indent + "]"
+
+
+def _item_texts(items, indent: str) -> list:
+    """The text of each item, at indent. Items all of one exact type take one
+    pass: int, finite float, or dict records sharing their keys (see
+    _record_texts); anything else takes its own writer, item by item."""
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return list(map(int.__repr__, items))
+    if kinds == {float} and all(map(isfinite, items)):
+        return list(map(float.__repr__, items))
+    if kinds == {dict}:
+        texts = _record_texts(items, indent)
+        if texts is not None:
+            return texts
+    return [_WRITERS.get(type(v), _dumps_text)(v, indent) for v in items]
+
+
+def _record_texts(records, indent: str):
+    """Records that share one non-empty tuple of str keys, written a column
+    of values at a time into one template; None for other records, and for
+    records holding a value json refuses, so that the item-by-item writers
+    raise json's error for the first such value in document order."""
+    keys = tuple(records[0])
+    if not keys or any(type(k) is not str for k in keys):
+        return None
+    if any(tuple(r) != keys for r in records):
+        return None
+    inner = indent + "  "
+    try:
+        columns = [_item_texts(c, inner) for c in zip(*map(dict.values, records))]
+    except (TypeError, ValueError):
+        return None
+    fields = ("," + inner).join(_quoted(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{" + inner + fields + indent + "}"
+    return [template % row for row in zip(*columns)]
 
 
 def _dict_text(mapping, indent: str) -> str:

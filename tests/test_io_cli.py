@@ -2,9 +2,11 @@
 
 import argparse
 import codecs
+import collections
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -22,6 +24,7 @@ from hypothesis.extra import numpy as hnp
 from rhdepth import generate_inliers, generate_scenario, ScenarioSpec
 from rhdepth import cli
 from rhdepth.cli import _build_parser, _resolve_threads, parse_scenario_config, run
+from rhdepth.evalkit import normalized_ranks
 from rhdepth.funspace import FunctionalSample, fit_fpca, fit_fpca_coordinates, make_uniform_grid
 from rhdepth.io import (
     _dumps_text,
@@ -559,6 +562,51 @@ def test_program_payloads_take_the_exact_type_writers(case, cli_files, monkeypat
         assert calls == []
 
 
+@pytest.mark.parametrize(
+    "reg, doubled, with_eval",
+    [(["--u", "0.5"], False, False), (["--lambda", "inf"], False, True), (["--u", "0.5"], True, False)],
+    ids=["u", "lambda-inf-eval", "every-curve-twice"],
+)
+def test_depth_csv_is_the_per_row_rendering(reg, doubled, with_eval, cli_files, tmp_path, monkeypatch):
+    # The depth CSV writes each distinct depth's fields once; its bytes are
+    # still those of one str() per field of every row.
+    source = read_sample(cli_files["s"])
+    if doubled:
+        source = FunctionalSample(source.grid, np.vstack([source.values, source.values]))
+    write_sample(str(tmp_path / "in.csv"), source)
+    results, depth = [], cli.approximate_rhd
+
+    def recorded(eig, dirs, lam, evaluation):
+        results.append((lam, depth(eig, dirs, lam, evaluation)))
+        return results[-1][1]
+
+    monkeypatch.setattr(cli, "approximate_rhd", recorded)
+    evaluation = ["--eval", cli_files["e"]] if with_eval else []
+    argv = ["depth", "--input", str(tmp_path / "in.csv"), *evaluation, "--J", "3", "--M", "200"]
+    assert run([*argv, *reg, "--seed", "3", "--out", cli_files["o"]]) == 0
+    [(lam, result)] = results
+    ranks = normalized_ranks(result.depths).normalized
+    ties = [len(dirs) for dirs in result.minimizing_directions]
+    header = ("eval_id", "depth", "normalized_rank", "lambda_used", "n_min_directions")
+    rows = zip(itertools.count(), result.depths.tolist(), ranks.tolist(), itertools.repeat(lam), ties)
+    assert Path(cli_files["o"]).read_text(encoding="utf-8") == csv_text([header, *rows])
+    assert len(set(result.depths.tolist())) < len(result.depths)
+    if doubled:
+        assert min(ties) >= 2  # a curve and its copy give one direction each
+
+
+def test_outliers_calibrate_json_is_the_indented_dumps(tmp_path):
+    # The paper case: 400 inliers and one outlier, p=50, J=6, M=1000.
+    sample, _ = generate_scenario(ScenarioSpec(400, {"magnitude": 1}, seed=4))
+    write_sample(str(tmp_path / "paper.csv"), sample)
+    out = tmp_path / "o.json"
+    argv = ["outliers", "--input", str(tmp_path / "paper.csv"), "--u", "0.95", "--calibrate"]
+    assert run([*argv, "--B", "2", "--seed", "5", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert len(json.loads(text)["fences"]) > 1
+
+
 @pytest.mark.parametrize("reg", [["--u", "0.5"], ["--lambda", "inf"], ["--lambda", "2.5"]])
 def test_depth_eval_of_the_input_is_the_self_depth(reg, cli_files):
     # The sample read again projects to the fitted scores bit for bit, so
@@ -1031,6 +1079,39 @@ def test_json_text_is_the_indented_dumps(payload):
     assert json_text(payload) == json.dumps(payload, indent=2, allow_nan=False)
 
 
+_RECORD_KEYS = st.one_of(_JSON_STRINGS, st.sampled_from(["%", "%s", "100%", "%%(a)d", '"%"', "é%", "日本"]))
+_NEAR_MISSES = (None, "reordered", "missing-key", "extra-key", "non-str-key", "dict-subclass", "tuple")
+
+
+@st.composite
+def _record_arrays(draw):
+    """1-6 dicts sharing one key tuple, or one near-miss of such an array:
+    one record with its keys reordered, a key missing, an extra key or a
+    non-str key, one record a dict subclass, or the records in a tuple."""
+    keys = draw(st.lists(_RECORD_KEYS, min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(1, 6))
+    records = [{k: draw(_JSON_VALUES) for k in keys} for _ in range(count)]
+    miss, i = draw(st.sampled_from(_NEAR_MISSES)), draw(st.integers(0, count - 1))
+    if miss == "reordered":
+        records[i] = dict(reversed(records[i].items()))
+    elif miss == "missing-key":
+        del records[i][draw(st.sampled_from(keys))]
+    elif miss == "extra-key":
+        records[i][draw(_RECORD_KEYS.filter(lambda k: k not in keys))] = draw(_JSON_VALUES)
+    elif miss == "non-str-key":
+        records[i][draw(_JSON_KEYS.filter(lambda k: not isinstance(k, str)))] = draw(_JSON_VALUES)
+    elif miss == "dict-subclass":
+        records[i] = collections.OrderedDict(records[i])
+    return tuple(records) if miss == "tuple" else records
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_record_arrays(), nested=st.booleans())
+def test_json_text_writes_record_arrays_as_dumps_does(records, nested):
+    payload = {"records": records} if nested else records
+    assert json_text(payload) == json.dumps(payload, indent=2, allow_nan=False)
+
+
 def test_write_json_writes_the_indented_dumps(tmp_path):
     payload = {"a": [1, 2.5, (True, None)], 0.5: {}, "b": [], "c": {"é": np.float64(-0.0)}}
     path = tmp_path / "out.json"
@@ -1043,11 +1124,24 @@ def _nested(value):
     return {"outer": [1, {"inner": (2.0, value)}]}
 
 
+def _two_records(value, other):
+    # Record 0 holds value under "b", record 1 other under "a": a writer
+    # going key by key would meet record 1's first.
+    return [{"a": 1.0, "b": value}, {"a": other, "b": 0.0}]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan)], ids=repr)
 @pytest.mark.parametrize(
     "place",
-    [lambda v: v, lambda v: [v], _nested, lambda v: {v: 1}, lambda v: [{"k": {v: []}}]],
-    ids=["bare", "in-list", "nested", "key", "nested-key"],
+    [
+        lambda v: v,
+        lambda v: [v],
+        _nested,
+        lambda v: {v: 1},
+        lambda v: [{"k": {v: []}}],
+        lambda v: _two_records(v, -np.inf if v == np.inf else np.inf),
+    ],
+    ids=["bare", "in-list", "nested", "key", "nested-key", "two-records"],
 )
 def test_json_text_refuses_non_finite_floats(bad, place):
     payload = place(bad)
@@ -1060,8 +1154,16 @@ def test_json_text_refuses_non_finite_floats(bad, place):
 
 @pytest.mark.parametrize(
     "payload",
-    [object(), {1, 2}, [b"bytes"], _nested(np.int64(3)), {(1, 2): 3}, {"k": {np.int64(1): 0}}],
-    ids=["object", "set", "bytes", "np-int64", "tuple-key", "np-int64-key"],
+    [
+        object(),
+        {1, 2},
+        [b"bytes"],
+        _nested(np.int64(3)),
+        {(1, 2): 3},
+        {"k": {np.int64(1): 0}},
+        _two_records(np.int64(3), b"bytes"),
+    ],
+    ids=["object", "set", "bytes", "np-int64", "tuple-key", "np-int64-key", "two-records"],
 )
 def test_json_text_refuses_what_json_cannot_write(payload):
     with pytest.raises(TypeError) as expected:
