@@ -46,6 +46,8 @@ def normalized_ranks(depths) -> RankTable:
     depths = np.asarray(depths, dtype=float)
     if depths.size == 0:
         raise ValueError("depths must be nonempty")
+    if not np.isfinite(depths).all():
+        raise ValueError("depths must be finite")
     order = np.sort(depths)
     # rank = 1 + number of strictly smaller depths (ties share the minimum rank)
     ranks = 1 + np.searchsorted(order, depths, side="left")
@@ -55,12 +57,15 @@ def normalized_ranks(depths) -> RankTable:
 def detection_metrics(flagged, labels) -> DetectionMetrics:
     """Correct (p_c) and false (p_f) detection proportions.
 
-    `flagged` holds integer curve indices (Python or NumPy integers);
-    `labels` marks each curve 'inlier' or an outlier kind. Empty
-    denominators yield a proportion of 0.
+    `flagged` holds integer curve indices (Python or NumPy integers, not
+    bools: a mask is refused); `labels` marks each curve 'inlier' or an
+    outlier kind. Empty denominators yield a proportion of 0.
     """
     labels = list(labels)
-    flagged = {operator.index(i) for i in flagged}
+    flagged = list(flagged)
+    if bool in map(type, flagged):
+        raise TypeError("flagged must hold curve indices, not bool")
+    flagged = set(map(operator.index, flagged))
     if any(i < 0 or i >= len(labels) for i in flagged):
         raise ValueError("flagged index out of range")
     n_inliers = labels.count("inlier")
@@ -89,6 +94,10 @@ def tukey_depth_2d_exact(points, x) -> float:
     n = points.shape[0]
     if n == 0:
         raise ValueError("need at least one point")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     d = points - x
     nonzero = np.any(d != 0.0, axis=1)
     base = int(n - nonzero.sum())  # coincident points lie in every halfspace

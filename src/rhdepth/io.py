@@ -13,10 +13,11 @@ built with one str.join per container instead of the pure-Python encoder
 that indenting selects. Its writers, keyed by exact type, take what the
 program writes; json.dumps itself writes, or refuses, the rest: a non-str
 key, a subclass such as np.float64, a NaN or an infinity, a type json
-cannot write. Two kinds of list take one pass instead of a writer call per
-item: all exact ints or all finite exact floats, by one map of the type's
-repr; and records, exact dicts that share one tuple of str keys (the fence
-records), a column of values at a time into one text template.
+cannot write, a number in a list of mixed types or standing alone. A list
+of all exact ints or all finite exact floats takes one map of the type's
+repr. Every dict is written as a record: a list of exact dicts that share
+one tuple of str keys (the fence records) a column of values at a time
+into one text template, and a dict on its own as a list of one record.
 
 Curve CSV format: first row holds the grid points, which become a Grid as
 read (the Grid derives its quadrature weights), each subsequent row one
@@ -155,11 +156,6 @@ def eigensystem_payload(eig: EigenSystem) -> dict:
     }
 
 
-def _float_text(value: float, indent: str) -> str:
-    """A finite float's shortest round-trip repr; json.dumps refuses the rest."""
-    return float.__repr__(value) if isfinite(value) else _dumps_text(value, indent)
-
-
 def _list_text(items, indent: str) -> str:
     if not items:
         return "[]"
@@ -170,7 +166,8 @@ def _list_text(items, indent: str) -> str:
 def _item_texts(items, indent: str) -> list:
     """The text of each item, at indent. Items all of one exact type take one
     pass: int, finite float, or dict records sharing their keys (see
-    _record_texts); anything else takes its own writer, item by item."""
+    _record_texts); anything else takes the writer of its type, item by
+    item, and a number in a mixed list takes json.dumps."""
     kinds = set(map(type, items))
     if kinds == {int}:
         return list(map(int.__repr__, items))
@@ -186,8 +183,9 @@ def _item_texts(items, indent: str) -> list:
 def _record_texts(records, indent: str):
     """Records that share one non-empty tuple of str keys, written a column
     of values at a time into one template; None for other records, and for
-    records holding a value json refuses, so that the item-by-item writers
-    raise json's error for the first such value in document order."""
+    records holding a value json refuses, so that json.dumps, record by
+    record, writes them or raises its error for the first such value in
+    document order."""
     keys = tuple(records[0])
     if not keys or any(type(k) is not str for k in keys):
         return None
@@ -204,23 +202,17 @@ def _record_texts(records, indent: str):
 
 
 def _dict_text(mapping, indent: str) -> str:
-    if not mapping:
-        return "{}"
-    inner = indent + "  "
-    try:
-        texts = [
-            _quoted(k) + ": " + _WRITERS.get(type(v), _dumps_text)(v, inner)
-            for k, v in mapping.items()
-        ]
-    except TypeError:  # a key that is not a str, or json's own refusal below
-        return _dumps_text(mapping, indent)
-    return "{" + inner + ("," + inner).join(texts) + indent + "}"
+    """A dict as a list of one record; json.dumps writes, or refuses, what
+    _record_texts declines."""
+    texts = _record_texts([mapping], indent)
+    return _dumps_text(mapping, indent) if texts is None else texts[0]
 
 
 def _dumps_text(value, indent: str) -> str:
     """json.dumps's own text, or its error, for what no writer of _WRITERS
-    takes. ensure_ascii escapes every newline inside a string, so each
-    newline of the text starts a line, which takes the indent of its place."""
+    takes: a bare or mixed-in number, or a dict _record_texts declines.
+    ensure_ascii escapes every newline inside a string, so each newline of
+    the text starts a line, which takes the indent of its place."""
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", indent)
 
 
@@ -228,8 +220,6 @@ _quoted = json.encoder.encode_basestring_ascii
 # Writers by exact type, each taking (value, indent): the indent is "\n"
 # and two spaces per level, the text that precedes the value's own items.
 _WRITERS = {
-    float: _float_text,
-    int: lambda value, _: int.__repr__(value),
     str: lambda value, _: _quoted(value),
     bool: lambda value, _: "true" if value else "false",
     type(None): lambda value, _: "null",

@@ -15,6 +15,7 @@ from rhdepth import (
     approximate_rhd,
     calibrate_factor,
     detect_outliers,
+    detection_metrics,
     draw_directions,
     eigenvalue_tail_sums,
     fit_fpca,
@@ -63,6 +64,9 @@ SAMPLE = generate_inliers(5, seed=0)
 WIDER = generate_inliers(12, seed=0)
 SCENARIO = ScenarioSpec(n_inliers=10)
 MEDIAN = RegularizationSpec.from_quantile(0.5)
+NAN = float("nan")
+CLOUD = np.random.default_rng(0).standard_normal((20, 2))
+CLOUD_WITH_NAN = np.vstack([CLOUD, [[NAN, 0.0]]])
 
 REFUSALS = {
     "fpca-J-below-1": (lambda: fit_fpca(SAMPLE, 0), ValueError, "J must be at least 1"),
@@ -167,6 +171,12 @@ REFUSALS = {
     ),
     "sup-bound-J0-0": (lambda: inlier_sup_bound(0), ValueError, "J0 must be at least 1, got 0"),
     "ranks-empty": (lambda: normalized_ranks([]), ValueError, "depths must be nonempty"),
+    "ranks-nan": (lambda: normalized_ranks([0.1, NAN, 0.2]), ValueError, "depths must be finite"),
+    "metrics-bool-mask": (
+        lambda: detection_metrics([True, False, False], ["inlier", "jump", "inlier"]),
+        TypeError,
+        "flagged must hold curve indices, not bool",
+    ),
     "tukey-no-points": (
         lambda: tukey_depth_2d_exact(np.empty((0, 2)), [0.0, 0.0]),
         ValueError,
@@ -181,6 +191,21 @@ REFUSALS = {
         lambda: tukey_depth_2d_exact(np.eye(3, 2), [0.0, 0.0, 0.0]),
         ValueError,
         "x must hold 2 values, got 3",
+    ),
+    "tukey-nan-point": (
+        lambda: tukey_depth_2d_exact(CLOUD_WITH_NAN, [0.0, 0.0]),
+        ValueError,
+        "points must be finite",
+    ),
+    "tukey-nan-x": (
+        lambda: tukey_depth_2d_exact(CLOUD, [NAN, 0.0]),
+        ValueError,
+        "x must be finite",
+    ),
+    "tukey-inf-x": (
+        lambda: tukey_depth_2d_exact(CLOUD, [np.inf, 0.0]),
+        ValueError,
+        "x must be finite",
     ),
     "inliers-none": (lambda: generate_inliers(0, seed=0), ValueError, "n must be at least 1"),
     "sweep-factor-negative": (
