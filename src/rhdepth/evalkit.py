@@ -44,6 +44,8 @@ class DetectionMetrics:
 def normalized_ranks(depths) -> RankTable:
     """Min-rank of each depth value, normalized by the sample size."""
     depths = np.asarray(depths, dtype=float)
+    if depths.ndim != 1:
+        raise ValueError(f"depths must be a 1-D array, got shape {depths.shape}")
     if depths.size == 0:
         raise ValueError("depths must be nonempty")
     if not np.isfinite(depths).all():

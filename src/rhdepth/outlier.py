@@ -9,26 +9,23 @@ There is one fence per (candidate, minimizing direction) pair, and no
 step merges a direction that two candidates share: at the minimal depth
 1/n a direction has one curve at its top, so no two pairs share it.
 `rhd._candidate_fences` reads the pairs and their Q1 and Q3, which serve
-every factor, off the sorted projection product; this module sets the
-fences, tests them, and builds the records and the calibration. The test
-is one compare in `_fences`: each pair's fence sits on its direction's
-column and -inf/+inf on every other column. `detect_outliers` applies it
-to every curve, for the records, and runs the count kernel's self pass
-(its defaults) once, on the same product, for the depths.
-
-The fence rules live in the primitives that every fence passes through,
-so the report and both studies refuse alike: `rhd._candidate_fences`
-fewer than 4 curves, `_fences` a factor not positive and finite or whose
-fence overflows.
+every factor, off the sorted projection product. `detect_outliers` sets
+the fences and tests every curve, for the records, in one compare in
+`_fences` (each pair's fence on its direction's column, -inf/+inf on
+every other column), and runs the count kernel's self pass (its
+defaults) once, on the same product, for the depths. The report and both
+studies refuse alike fewer than 4 curves (`rhd._candidate_fences`) and
+a factor not positive and finite (`_require_factor`); the report also a
+factor whose fence overflows (`_fences`).
 
 `flag_sweep` is the replicate step of both simulation studies (a
 calibration null dataset, a ROC replicate in `evalkit.roc_table`): on a
 fitted eigensystem, one direction pool seeded from the caller's RNG, one
 projection product and sort at the largest lambda, whose columns every
-lambda reads, and per lambda one fence call and one compare of the
-candidates' rows for all factors, which form one array axis. Both studies
-map it with `parallel_map`, in input order and with a seed per replicate,
-so output is the same for any thread count.
+lambda reads, and per lambda one critical factor per candidate, which
+settles its flag at every factor with no fence built. Both studies map
+it with `parallel_map`, in input order and with a seed per replicate, so
+output is the same for any thread count.
 
 The factor f is calibrated on Gaussian null data matching the input's
 empirical mean and covariance, targeting a 0.7% flagged proportion.
@@ -83,24 +80,22 @@ class CalibrationResult:
     rates: dict
 
 
-def _fences(rows, columns, q1, q3, factors):
-    """IQR, lower and upper fence per pair, a row per factor when factors
-    is (F, 1), and whether each entry of the (q, k) rows lies outside its
-    column's fence: each pair's fence sits on its column, -inf/+inf on the
-    others, and pairs that share a column share its fence. The first
-    factor that is not positive and finite, or whose fence overflows, is
-    refused by name; every caller's fences are set here."""
+def _require_factor(factor):
+    if not 0 < factor < np.inf:
+        raise ValueError(f"factor {float(factor)!r} must be positive and finite")
+
+
+def _fences(rows, columns, q1, q3, factor):
+    """IQR, lower and upper fence per pair at one factor, and whether each
+    entry of the (q, k) rows lies outside its column's fence, if it has one."""
+    _require_factor(factor)
     iqr = q3 - q1
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower, upper = q1 - factors * iqr, q3 + factors * iqr
-    ok = (factors > 0) & np.isfinite(lower) & np.isfinite(upper)
-    if not ok.all():
-        f = float(np.broadcast_to(factors, ok.shape)[~ok][0])
-        why = "is too large: a fence overflows" if 0 < f < np.inf else "must be positive and finite"
-        raise ValueError(f"factor {f!r} {why}")
-    shape = (*lower.shape[:-1], 1, rows.shape[1])
-    lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
-    lo[..., 0, columns], hi[..., 0, columns] = lower, upper
+    with np.errstate(over="ignore"):
+        lower, upper = q1 - factor * iqr, q3 + factor * iqr
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValueError(f"factor {float(factor)!r} is too large: a fence overflows")
+    lo, hi = np.full(rows.shape[1], -np.inf), np.full(rows.shape[1], np.inf)
+    lo[columns], hi[columns] = lower, upper
     return iqr, lower, upper, (rows < lo) | (rows > hi)
 
 
@@ -109,20 +104,23 @@ def flag_sweep(eig: EigenSystem, M: int, rng, specs, factors) -> list:
 
     Draws one direction pool on the fitted eigensystem, seeded from the
     next draw of the numpy Generator rng, which every spec's lambda shares.
-    The factors are one array axis: per spec, one fence call gives every
-    factor's fences on the same quartiles, and one compare tests the
-    candidates, the only curves tested, against all of them.
+    A candidate is flagged at f < f* = max over the pair columns of
+    max((Q1 - p) / IQR, (p - Q3) / IQR), the fence compare in exact
+    arithmetic; in floats the two can differ only where f is within an ulp
+    of f*. At IQR = 0, p != Q1 gives +inf and p == Q1 NaN, which fmax skips.
     """
     dirs = draw_directions(eig, M, seed=int(rng.integers(2**63)))
     lams = [resolve_lambda(spec, dirs) for spec in specs]
     projections, per_lambda = _candidate_fences(eig, dirs, lams)
-    factors = np.asarray(factors, dtype=float)[:, None]
+    for factor in factors:
+        _require_factor(factor)
     sweep = []
-    for owners, columns, _, quartiles in per_lambda:
+    for owners, columns, _, (q1, q3) in per_lambda:
         candidates = np.unique(owners)
-        # (factor, candidate, column) compares, then any over the columns
-        hits = _fences(projections[candidates], columns, *quartiles, factors)[3].any(axis=2)
-        sweep.append(tuple(tuple(candidates[hit].tolist()) for hit in hits))
+        rows, iqr = projections[np.ix_(candidates, columns)], q3 - q1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            critical = np.fmax.reduce(np.fmax((q1 - rows) / iqr, (rows - q3) / iqr), axis=1)
+        sweep.append(tuple(tuple(candidates[critical > f].tolist()) for f in factors))
     return sweep
 
 

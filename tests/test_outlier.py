@@ -537,7 +537,8 @@ def _reference_flag_sweep(sample, J, M, rng, specs, factors):
 
 
 class TestFlagSweepMatchesPerFactorLoop:
-    """The factors applied as one array axis flag what a loop over them flags."""
+    """Critical factors flag what a loop of fence compares over the factors
+    flags, at ties and at IQR = 0 too."""
 
     U_GRID = (0.5, 0.7, 0.9, 0.95)
     # Below FACTOR_GRID too, so that the flags differ between factors.
@@ -579,16 +580,28 @@ class TestFlagSweepMatchesPerFactorLoop:
                 assert columns.size == 2 * np.unique(columns).size
             assert any(per_factor[0] for per_factor in sweep)
 
+    def test_zero_iqr(self):
+        # 34 of 40 curves are one curve, so every quartile is its projection:
+        # a fence of width 0, which flags every other value at any factor
+        s = generate_inliers(7, seed=11)
+        values = np.vstack([np.repeat(s.values[:1], 34, axis=0), s.values[1:]])
+        sample = FunctionalSample(s.grid, values)
+        self._assert_matches(sample, 3, 200, 12)
+        eig, dirs = _sweep_pool(sample, 3, 200, 12)
+        lams = [resolve_lambda(RegularizationSpec.from_quantile(u), dirs) for u in self.U_GRID]
+        assert any((q1 == q3).any() for *_, (q1, q3) in _candidate_fences(eig, dirs, lams)[1])
 
-def test_sweep_names_the_overflowing_factor():
+
+def test_sweep_takes_factors_whose_fences_would_overflow():
     # 1e307 times the largest IQR here (about 2.4) is finite, 1.7e308 times
-    # it is not; the first factor that overflows is named
+    # it is not; a sweep builds no fences, so it flags at such factors too
     sample = _contaminated(60, 309)
     specs = (RegularizationSpec.from_quantile(0.9),)
     factors = (1.5, 1e307, 1.7e308, 3.0, 1.79e308)
-    with pytest.raises(ValueError) as raised:
-        flag_sweep(fit_fpca(sample, 4), 200, np.random.default_rng(310), specs, factors)
-    assert str(raised.value) == "factor 1.7e+308 is too large: a fence overflows"
+    sweep = flag_sweep(fit_fpca(sample, 4), 200, np.random.default_rng(310), specs, factors)
+    with np.errstate(over="ignore"):
+        expected = _reference_flag_sweep(sample, 4, 200, np.random.default_rng(310), specs, factors)
+    assert sweep == expected
 
 
 def test_detect_outliers_holds_no_float_copy_of_the_pairs():

@@ -172,6 +172,16 @@ REFUSALS = {
     "sup-bound-J0-0": (lambda: inlier_sup_bound(0), ValueError, "J0 must be at least 1, got 0"),
     "ranks-empty": (lambda: normalized_ranks([]), ValueError, "depths must be nonempty"),
     "ranks-nan": (lambda: normalized_ranks([0.1, NAN, 0.2]), ValueError, "depths must be finite"),
+    "ranks-scalar": (
+        lambda: normalized_ranks(0.5),
+        ValueError,
+        "depths must be a 1-D array, got shape ()",
+    ),
+    "ranks-2-by-2": (
+        lambda: normalized_ranks([[0.1, 0.2], [0.3, 0.4]]),
+        ValueError,
+        "depths must be a 1-D array, got shape (2, 2)",
+    ),
     "metrics-bool-mask": (
         lambda: detection_metrics([True, False, False], ["inlier", "jump", "inlier"]),
         TypeError,
