@@ -65,7 +65,7 @@ def detection_metrics(flagged, labels) -> DetectionMetrics:
     """
     labels = list(labels)
     flagged = list(flagged)
-    if bool in map(type, flagged):
+    if not {bool, np.bool_}.isdisjoint(map(type, flagged)):
         raise TypeError("flagged must hold curve indices, not bool")
     flagged = set(map(operator.index, flagged))
     if any(i < 0 or i >= len(labels) for i in flagged):

@@ -109,6 +109,9 @@ class FunctionalSample:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(np.atleast_2d(self.values)))
+        if self.values.ndim != 2:
+            shape = self.values.shape
+            raise ValueError(f"curve values must be a 1-D or 2-D array, got shape {shape}")
         if self.values.shape[1] != len(self.grid):
             raise ValueError(
                 f"curves have {self.values.shape[1]} points, grid has {len(self.grid)}"

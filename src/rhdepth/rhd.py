@@ -5,6 +5,17 @@ regularization parameter: the constraint is applied by filtering directions
 on their RKHS norm at depth time, which makes depth exactly nonincreasing
 in lambda.
 
+Pool rows, with M = proposal_size, as `draw_directions` builds them:
+- [0, M): proposal i, z_i/||z_i||, z ~ N(0, diag gamma) from
+  default_rng(seed). lambda at level u is the ceil(uM)-th smallest norm.
+- [M, size): the unit data row Gamma^-1 (s_j - mean(s)) of the (i-M)-th
+  curve whose row is kept (a curve at the score mean has none), in curve
+  order; i - M is a curve index only if no row was dropped.
+- Accepted at lambda: norm <= lambda, counted by `accepted_count`.
+  `minimizing_directions[x]`: ascending, the accepted rows where curve x's
+  count is its minimum; `n_min_directions` is their number. A
+  `FenceRecord`'s `direction` is its pair's row.
+
 Only this module reads the sorted blocks of the sample projections: the
 count kernel, and `_candidate_fences` for the fences' pairs and quartiles.
 """
@@ -18,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .funspace import EigenSystem, FunctionalSample, RankError, _frozen_array
+from .funspace import _EIGVAL_FLOOR, EigenSystem, FunctionalSample, RankError, _frozen_array
 
 
 class EmptyPoolError(RuntimeError):
@@ -37,8 +48,7 @@ class EmptyPoolError(RuntimeError):
 class DirectionSet:
     """Unit coefficient vectors in R^J, one row each, and their RKHS norms.
 
-    The first proposal_size rows are the random proposal draws that lambda
-    quantiles refer to; any further rows are data directions.
+    What each row index is: the pool-row table in this module's docstring.
     """
 
     coefficients: np.ndarray
@@ -110,50 +120,34 @@ def _unit_rows(v: np.ndarray, gamma: np.ndarray):
 
 
 def draw_directions(eig: EigenSystem, M: int, seed: int) -> DirectionSet:
-    """Draw M proposal directions, then add one data direction per curve.
-
-    Directions are unit vectors in R^J, J = eig.truncation: coefficients
-    on the eigensystem's eigenfunctions. The proposals are z/||z|| with
-    z ~ N(0, diag(gamma_1..gamma_J)), the non-isotropic proposal on the
-    unit sphere. A random pool only bounds the depth from above, and these
-    proposals almost never reach the high-norm directions that cut a hull
-    vertex off from the rest of the sample. So each sample curve also
-    contributes its whitened radial direction Gamma^-1 (s_i - mean(s)),
-    made unit; zero or non-finite ones are dropped. Their RKHS norms are
-    mostly large, so they mostly enter the depth at large lambda; a curve
-    far out along one eigendirection has a radial direction of low norm.
-
-    The lambda constraint is applied later by norm filtering, so the same
-    pool serves every lambda. Deterministic given (eigensystem, M, seed).
+    """The pool of the module docstring's table, every row built by one rule:
+    the M proposals and each curve's whitened radial vector, which reaches
+    the high-norm directions that cut a hull vertex off the sample, are
+    made unit in one pass, and a row whose RKHS norm is not finite and
+    positive is dropped (a radial one only: gamma is above fit_fpca's floor).
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     gamma = eig.eigenvalues
-    if gamma[-1] <= 0:
-        raise RankError(gamma.size, int(np.sum(gamma > 0)))
+    if not gamma.min() > _EIGVAL_FLOOR:  # fit_fpca's rank floor: no proposal overflows
+        raise RankError(gamma.size, int(np.sum(gamma > _EIGVAL_FLOOR)))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((M, gamma.size)) * np.sqrt(gamma)
-    coeff, rkhs_norms = _unit_rows(z, gamma)
     radial = (eig.scores - eig.scores.mean(axis=0)) / gamma
     with np.errstate(all="ignore"):
-        r_coeff, r_norms = _unit_rows(radial, gamma)
-    # A zero or non-finite radial vector leaves a NaN or zero norm here.
-    keep = np.isfinite(r_norms) & (r_norms > 0)
-    return DirectionSet(
-        coefficients=np.vstack([coeff, r_coeff[keep]]),
-        rkhs_norms=np.concatenate([rkhs_norms, r_norms[keep]]),
-        proposal_size=M,
-    )
+        coeff, norms = _unit_rows(np.vstack([z, radial]), gamma)
+    # A zero or non-finite row leaves a NaN or zero norm here; no proposal does.
+    keep = np.isfinite(norms) & (norms > 0)
+    return DirectionSet(coefficients=coeff[keep], rkhs_norms=norms[keep], proposal_size=M)
 
 
 def resolve_lambda(spec: RegularizationSpec, dirs: DirectionSet) -> float:
     """Resolve a regularization spec against the pool's RKHS norms.
 
-    The quantile form returns the ceil(u*M)-th order statistic of the M
-    proposal norms, so the accepted fraction of the proposals is exactly
-    ceil(u*M)/M; data directions never move lambda. u*M is taken on the
-    decimal that u is written as: in floats 0.55 * 100 is 55.00000000000001,
-    whose ceiling would accept 56 of 100.
+    The quantile form reads the proposal rows of the pool-row table alone,
+    so the accepted fraction of the proposals is exactly ceil(u*M)/M. u*M
+    is taken on the decimal that u is written as: in floats 0.55 * 100 is
+    55.00000000000001, whose ceiling would accept 56 of 100.
     """
     if spec.lam is not None:
         return float(spec.lam)
@@ -340,6 +334,8 @@ def depth_from_scores(
     for name, scores in (("sample", sample_scores), ("evaluation", eval_scores)):
         if scores.ndim != 2:
             raise ValueError(f"{name} scores must be a 2-D array, got shape {scores.shape}")
+    if sample_scores.shape[0] == 0:
+        raise ValueError("sample scores must hold at least one row")
     if eval_scores.shape[1] != sample_scores.shape[1]:
         raise ValueError(
             f"evaluation scores have {eval_scores.shape[1]} columns, "
@@ -372,7 +368,7 @@ def approximate_rhd(
     Evaluation curves are projected with the sample's eigenfunctions; the
     depth at x is the minimum over accepted directions a of the fraction
     of sample curves i with scores_i·a >= scores_x·a. Minimizing direction
-    indices refer to the full pool; ties are kept.
+    indices are pool rows (the pool-row table); ties are kept.
     """
     eval_scores = eig.project(eval_points)
     return depth_from_scores(dirs, lam, eig.scores, eval_scores)
@@ -381,10 +377,10 @@ def approximate_rhd(
 def naive_tukey_depth(
     eig: EigenSystem, dirs: DirectionSet, eval_points: FunctionalSample
 ) -> DepthResult:
-    """Unregularized depth: every pool direction accepted (lambda = inf).
+    """Unregularized depth: every pool row accepted (lambda = inf).
 
-    Still an upper bound on the exact depth. The pool's data directions
-    are what bring it down to the exact 1/n at many hull vertices of the
-    sample's scores; the random proposals alone almost never do.
+    Still an upper bound on the exact depth. The pool's data rows (see the
+    pool-row table) bring it down to the exact 1/n at many hull vertices
+    of the sample's scores; the random proposals alone almost never do.
     """
     return approximate_rhd(eig, dirs, np.inf, eval_points)

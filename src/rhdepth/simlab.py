@@ -20,6 +20,7 @@ when a spec is made.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +85,12 @@ def _kl_setup(p: int, J0: int):
     basis = trigonometric_basis(grid.points, J0)
     basis.flags.writeable = gamma.flags.writeable = False
     return grid, basis, gamma
+
+
+def _require_integer(name: str, value) -> None:
+    """The config reader's integer rule, for a spec built in Python."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_truncation(J0: int) -> None:
@@ -245,6 +252,8 @@ class ScenarioSpec:
     J0: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
+        for name in ("n_inliers", "p", "J0", "seed"):
+            _require_integer(name, getattr(self, name))
         if self.n_inliers < 1:
             raise ValueError(f"n_inliers must be at least 1, got {self.n_inliers}")
         if self.p < 2:
@@ -255,6 +264,7 @@ class ScenarioSpec:
         for kind, count in self.outlier_counts.items():
             if kind not in OUTLIER_KINDS:
                 raise ValueError(f"unknown outlier kind {kind!r}")
+            _require_integer(f"the count of {kind!r}", count)
             if count < 0:
                 raise ValueError("outlier counts must be nonnegative")
         total = self.n_inliers + sum(self.outlier_counts.values())

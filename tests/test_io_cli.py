@@ -247,38 +247,6 @@ class TestCli:
         assert manifest["parameters"]["seed"] == 7
         assert "wall_time_seconds" in manifest
 
-    def test_missing_regularization_exits_1(self, sample_csv, tmp_path):
-        code = run(
-            [
-                "depth",
-                "--input",
-                sample_csv,
-                "--seed",
-                "7",
-                "--out",
-                str(tmp_path / "d.csv"),
-            ]
-        )
-        assert code == 1
-
-    def test_both_u_and_lambda_exits_1(self, sample_csv, tmp_path):
-        code = run(
-            [
-                "depth",
-                "--input",
-                sample_csv,
-                "--u",
-                "0.5",
-                "--lambda",
-                "2.0",
-                "--seed",
-                "7",
-                "--out",
-                str(tmp_path / "d.csv"),
-            ]
-        )
-        assert code == 1
-
     def test_rank_error_exits_2(self, tmp_path):
         # eight curves spanning a one-dimensional space cannot support J=4
         import numpy as np
@@ -835,21 +803,35 @@ _NOT_ALLOWED = "argument {}: not allowed with argument {}"
 
 
 @pytest.mark.parametrize(
-    "flags, message",
+    "command, flags, message",
     [
-        (["--u", "0.5", "--lambda", "inf", "--factor", "2"], _NOT_ALLOWED.format("--lambda", "--u")),
+        ("depth", ["--u", "0.5", "--lambda", "2.0"], _NOT_ALLOWED.format("--lambda", "--u")),
+        ("depth", [], "one of the arguments --u --lambda is required"),
         (
+            "outliers",
+            ["--u", "0.5", "--lambda", "inf", "--factor", "2"],
+            _NOT_ALLOWED.format("--lambda", "--u"),
+        ),
+        (
+            "outliers",
             ["--u", "0.5", "--factor", "1.5", "--calibrate"],
             _NOT_ALLOWED.format("--calibrate", "--factor"),
         ),
-        (["--factor", "2"], "one of the arguments --u --lambda is required"),
-        (["--u", "0.5"], "one of the arguments --factor --calibrate is required"),
+        ("outliers", ["--factor", "2"], "one of the arguments --u --lambda is required"),
+        ("outliers", ["--u", "0.5"], "one of the arguments --factor --calibrate is required"),
     ],
-    ids=["u-and-lambda", "factor-and-calibrate", "no-regularization", "no-factor"],
+    ids=[
+        "depth-u-and-lambda",
+        "depth-no-regularization",
+        "u-and-lambda",
+        "factor-and-calibrate",
+        "no-regularization",
+        "no-factor",
+    ],
 )
-def test_either_or_flags_refused_at_parse_time(flags, message, tmp_path, capsys):
+def test_either_or_flags_refused_at_parse_time(command, flags, message, tmp_path, capsys):
     missing = tmp_path / "missing.csv"
-    argv = ["outliers", "--input", str(missing), *flags, "--seed", "1"]
+    argv = [command, "--input", str(missing), *flags, "--seed", "1"]
     assert run(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err

@@ -1,6 +1,7 @@
 """Argument checks of the library functions, each with its own message."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,12 @@ def _zero_eigenvalue_system():
         scores=np.zeros((3, 2)),
         usable_rank=1,
     )
+
+
+def _tiny_eigenvalue_system():
+    """An eigensystem whose eigenvalues, 1e-310, are below fit_fpca's rank
+    floor: every proposal row would have an infinite RKHS norm."""
+    return replace(_zero_eigenvalue_system(), eigenvalues=np.array([1e-310, 1e-310]))
 
 
 def _sweep(n, factor):
@@ -101,6 +108,11 @@ REFUSALS = {
         ValueError,
         "coordinates have 3 columns, the basis has 2",
     ),
+    "pool-eigenvalue-below-floor": (
+        lambda: draw_directions(_tiny_eigenvalue_system(), 10, seed=0),
+        RankError,
+        "truncation level 2 exceeds usable rank 0; the sample has no usable variation",
+    ),
     "pool-of-another-J": (
         lambda: approximate_rhd(
             fit_fpca(WIDER, 4), draw_directions(fit_fpca(WIDER, 6), 100, 1), np.inf, WIDER
@@ -143,6 +155,13 @@ REFUSALS = {
         ValueError,
         "evaluation scores must be a 2-D array, got shape (1, 3, 2)",
     ),
+    "depth-sample-no-rows": (
+        lambda: depth_from_scores(
+            draw_directions(fit_fpca(SAMPLE, 2), 10, 1), np.inf, np.zeros((0, 2)), np.zeros((1, 2))
+        ),
+        ValueError,
+        "sample scores must hold at least one row",
+    ),
     "fpca-coordinates-1-D": (
         lambda: fit_fpca_coordinates(fit_fpca(SAMPLE, 2), np.zeros(2)),
         ValueError,
@@ -157,6 +176,11 @@ REFUSALS = {
         lambda: FunctionalSample(Grid([0.0, 0.5, 1.0]), [[1e200, 1, 2], [1, 2, 3], [1, 1, 1]]),
         ValueError,
         "curve values are too large: their weighted squares overflow",
+    ),
+    "sample-3-D": (
+        lambda: FunctionalSample(make_uniform_grid(50), np.zeros((2, 2, 50))),
+        ValueError,
+        "curve values must be a 1-D or 2-D array, got shape (2, 2, 50)",
     ),
     "tail-sums-J0-0": (lambda: eigenvalue_tail_sums(0), ValueError, "J0 must be at least 1, got 0"),
     "tail-sums-J0-negative": (
@@ -184,6 +208,16 @@ REFUSALS = {
     ),
     "metrics-bool-mask": (
         lambda: detection_metrics([True, False, False], ["inlier", "jump", "inlier"]),
+        TypeError,
+        "flagged must hold curve indices, not bool",
+    ),
+    "metrics-numpy-bool-mask": (
+        lambda: detection_metrics(np.array([True, False]), ["inlier", "jump"]),
+        TypeError,
+        "flagged must hold curve indices, not bool",
+    ),
+    "metrics-numpy-bool-item": (
+        lambda: detection_metrics([np.True_], ["inlier", "jump"]),
         TypeError,
         "flagged must hold curve indices, not bool",
     ),
@@ -276,6 +310,31 @@ REFUSALS = {
         lambda: ScenarioSpec(n_inliers=10, outlier_counts={"jump": -1}),
         ValueError,
         "outlier counts must be nonnegative",
+    ),
+    "scenario-float-inliers": (
+        lambda: ScenarioSpec(n_inliers=10.5),
+        ValueError,
+        "n_inliers must be an integer, got 10.5",
+    ),
+    "scenario-float-p": (
+        lambda: ScenarioSpec(n_inliers=10, p=50.0),
+        ValueError,
+        "p must be an integer, got 50.0",
+    ),
+    "scenario-float-J0": (
+        lambda: ScenarioSpec(n_inliers=10, J0=15.0),
+        ValueError,
+        "J0 must be an integer, got 15.0",
+    ),
+    "scenario-float-seed": (
+        lambda: ScenarioSpec(n_inliers=10, seed=1.5),
+        ValueError,
+        "seed must be an integer, got 1.5",
+    ),
+    "scenario-float-count": (
+        lambda: ScenarioSpec(n_inliers=10, outlier_counts={"jump": 1.5}),
+        ValueError,
+        "the count of 'jump' must be an integer, got 1.5",
     ),
 }
 
