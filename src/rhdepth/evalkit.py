@@ -1,7 +1,7 @@
 """Ranking, detection metrics, ROC tables, and the exact 2-D depth oracle.
 
-A ROC replicate is one scenario run through `outlier.flag_sweep`, the
-replicate step of calibration too, and scored at each (u, f).
+A ROC replicate is one scenario run through `outlier.flag_sweep`, which
+calibration runs too, and scored at each (u, f) off its critical factors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .funspace import _frozen_array, fit_fpca
-from .outlier import FACTOR_GRID, flag_sweep, parallel_map
+from .outlier import FACTOR_GRID, _require_factor, flag_sweep, parallel_map
 from .rhd import RegularizationSpec
 from .simlab import ScenarioSpec, generate_scenario
 
@@ -67,6 +67,9 @@ def detection_metrics(flagged, labels) -> DetectionMetrics:
     flagged = list(flagged)
     if not {bool, np.bool_}.isdisjoint(map(type, flagged)):
         raise TypeError("flagged must hold curve indices, not bool")
+    bad = [i for i in flagged if not hasattr(i, "__index__")]
+    if bad:
+        raise TypeError(f"flagged must hold integer curve indices, got {bad[0]!r}")
     flagged = set(map(operator.index, flagged))
     if any(i < 0 or i >= len(labels) for i in flagged):
         raise ValueError("flagged index out of range")
@@ -146,14 +149,16 @@ def roc_table(
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     specs = [RegularizationSpec.from_quantile(u) for u in u_grid]
+    for f in factor_grid:
+        _require_factor(f)
 
     def roc_replicate(child):
         """(p_c, p_f) per (u, f), u-major, on one scenario: its seed, then the pool."""
         rng = np.random.default_rng(child)
         sample, labels = generate_scenario(replace(spec, seed=int(rng.integers(2**63))))
-        sweep = flag_sweep(fit_fpca(sample, J), M, rng, specs, factor_grid)
-        metrics = [detection_metrics(flagged, labels) for row in sweep for flagged in row]
-        return [(m.p_c, m.p_f) for m in metrics]
+        sweep = flag_sweep(fit_fpca(sample, J), M, rng, specs)
+        flags = [candidates[critical > f] for candidates, critical in sweep for f in factor_grid]
+        return [(m.p_c, m.p_f) for m in (detection_metrics(x, labels) for x in flags)]
 
     children = np.random.SeedSequence(seed).spawn(replicates)
     table = np.array(parallel_map(roc_replicate, children, threads)).reshape(replicates, -1, 2)

@@ -14,18 +14,18 @@ the fences and tests every curve, for the records, in one compare in
 `_fences` (each pair's fence on its direction's column, -inf/+inf on
 every other column), and runs the count kernel's self pass (its
 defaults) once, on the same product, for the depths. The report and both
-studies refuse alike fewer than 4 curves (`rhd._candidate_fences`) and
-a factor not positive and finite (`_require_factor`); the report also a
-factor whose fence overflows (`_fences`).
+studies refuse alike fewer than 4 curves (`rhd._candidate_fences`); the
+report and the ROC table a factor not positive and finite
+(`_require_factor`), and the report also one whose fence overflows.
 
 `flag_sweep` is the replicate step of both simulation studies (a
 calibration null dataset, a ROC replicate in `evalkit.roc_table`): on a
 fitted eigensystem, one direction pool seeded from the caller's RNG, one
 projection product and sort at the largest lambda, whose columns every
-lambda reads, and per lambda one critical factor per candidate, which
-settles its flag at every factor with no fence built. Both studies map
-it with `parallel_map`, in input order and with a seed per replicate, so
-output is the same for any thread count.
+lambda reads, and per lambda the candidates and their critical factors
+f*, off which each study reads the flags candidates[f* > f] at its own
+factors, with no fence built. Both map it with `parallel_map` in input
+order, a seed per replicate, so output is the same for any thread count.
 
 The factor f is calibrated on Gaussian null data matching the input's
 empirical mean and covariance, targeting a 0.7% flagged proportion.
@@ -99,28 +99,26 @@ def _fences(rows, columns, q1, q3, factor):
     return iqr, lower, upper, (rows < lo) | (rows > hi)
 
 
-def flag_sweep(eig: EigenSystem, M: int, rng, specs, factors) -> list:
-    """One simulation replicate: per spec, the flagged curves for each factor.
+def flag_sweep(eig: EigenSystem, M: int, rng, specs) -> list:
+    """One simulation replicate: per spec, (candidates, critical).
 
     Draws one direction pool on the fitted eigensystem, seeded from the
     next draw of the numpy Generator rng, which every spec's lambda shares.
-    A candidate is flagged at f < f* = max over the pair columns of
-    max((Q1 - p) / IQR, (p - Q3) / IQR), the fence compare in exact
-    arithmetic; in floats the two can differ only where f is within an ulp
-    of f*. At IQR = 0, p != Q1 gives +inf and p == Q1 NaN, which fmax skips.
-    """
+    Candidates ascend, and critical holds each one's f* = max over its pair
+    columns of max((Q1 - p) / IQR, (p - Q3) / IQR): candidates[critical > f]
+    is the fence compare at f in exact arithmetic, and in floats differs only
+    where f is within an ulp of f*. At IQR = 0, p != Q1 gives +inf and p == Q1
+    NaN, which fmax skips."""
     dirs = draw_directions(eig, M, seed=int(rng.integers(2**63)))
     lams = [resolve_lambda(spec, dirs) for spec in specs]
     projections, per_lambda = _candidate_fences(eig, dirs, lams)
-    for factor in factors:
-        _require_factor(factor)
     sweep = []
     for owners, columns, _, (q1, q3) in per_lambda:
         candidates = np.unique(owners)
         rows, iqr = projections[np.ix_(candidates, columns)], q3 - q1
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             critical = np.fmax.reduce(np.fmax((q1 - rows) / iqr, (rows - q3) / iqr), axis=1)
-        sweep.append(tuple(tuple(candidates[critical > f].tolist()) for f in factors))
+        sweep.append((candidates, critical))
     return sweep
 
 
@@ -184,8 +182,8 @@ def calibrate_factor(
         """Flagged proportion per factor on one null dataset: z, then the pool."""
         rng = np.random.default_rng(child)
         null = fit_fpca_coordinates(eig, rng.standard_normal((n, J)) * scale)
-        (flagged,) = flag_sweep(null, M, rng, (spec,), FACTOR_GRID)
-        return [len(f) / n for f in flagged]
+        [(_, critical)] = flag_sweep(null, M, rng, (spec,))
+        return [np.count_nonzero(critical > f) / n for f in FACTOR_GRID]
 
     per_dataset = parallel_map(null_flag_rates, np.random.SeedSequence(seed).spawn(B), threads)
     mean_rates = np.mean(per_dataset, axis=0)

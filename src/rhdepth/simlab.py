@@ -254,6 +254,8 @@ class ScenarioSpec:
     def __post_init__(self):
         for name in ("n_inliers", "p", "J0", "seed"):
             _require_integer(name, getattr(self, name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.n_inliers < 1:
             raise ValueError(f"n_inliers must be at least 1, got {self.n_inliers}")
         if self.p < 2:

@@ -273,6 +273,14 @@ class TestRocTable:
         )
         assert a == c
 
+    def test_refuses_a_bad_factor_before_any_replicate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr("rhdepth.evalkit.generate_scenario", refuse)
+        with pytest.raises(ValueError, match="^factor 0.0 must be positive and finite$"):
+            roc_table(self.SPEC, 4, 200, 3, seed=7, factor_grid=(1.5, 0.0))
+
     def test_values_match_per_replicate_reference(self):
         # Each replicate's RNG draws the scenario seed, then the pool seed; a
         # cell is the 1-D mean of its per-replicate rates. Nine or more

@@ -233,7 +233,7 @@ class TestScoreSpaceFit:
                 assert got.usable_rank == expected.usable_rank == 6
                 seed = int(rng.integers(2**63))
                 sweeps = [
-                    flag_sweep(e, 1000, np.random.default_rng(seed), spec95, FACTOR_GRID)
+                    _flags(flag_sweep(e, 1000, np.random.default_rng(seed), spec95), FACTOR_GRID)
                     for e in (got, expected)
                 ]
                 assert sweeps[0] == sweeps[1]
@@ -313,6 +313,12 @@ class TestBatchedFencesMatchPerPairReference:
                 assert calib.rates == {float(f): float(r) for f, r in zip(FACTOR_GRID, rates)}
 
 
+def _flags(sweep, factors):
+    """The flag sets of a flag_sweep, per spec a tuple over the factors: at
+    f, the candidates whose critical factor exceeds f."""
+    return [tuple(tuple(c[critical > f].tolist()) for f in factors) for c, critical in sweep]
+
+
 def _sweep_pool(sample, J, M, seed):
     """The eigensystem and pool flag_sweep builds from default_rng(seed)."""
     eig = fit_fpca(sample, J)
@@ -337,7 +343,7 @@ def test_fence_path_makes_no_count_kernel_call(monkeypatch):
     with pytest.raises(AssertionError, match="count kernel"):
         depth_from_scores(dirs, lam, eig.scores, eig.scores)
     rng = np.random.default_rng(302)
-    assert flag_sweep(fit_fpca(sample, 4), 300, rng, (spec,), FACTOR_GRID) == [flags]
+    assert _flags(flag_sweep(fit_fpca(sample, 4), 300, rng, (spec,)), FACTOR_GRID) == [flags]
 
 
 def test_sweep_matches_per_lambda_detect_outliers():
@@ -361,7 +367,21 @@ def test_sweep_matches_per_lambda_detect_outliers():
                 for lam in lams
             ]
             rng = np.random.default_rng(seed)
-            assert flag_sweep(fit_fpca(data, 6), 500, rng, specs, FACTOR_GRID) == expected
+            assert _flags(flag_sweep(fit_fpca(data, 6), 500, rng, specs), FACTOR_GRID) == expected
+
+
+def test_sweep_returns_ascending_candidates_and_their_critical_factors():
+    """Per spec, the candidate set of detect_outliers at that spec's lambda,
+    ascending, and one float critical factor per candidate."""
+    sample = _contaminated(80, 300)
+    specs = [RegularizationSpec.from_quantile(u) for u in (0.5, 0.95)]
+    eig, dirs = _sweep_pool(sample, 4, 300, 302)
+    sweep = flag_sweep(fit_fpca(sample, 4), 300, np.random.default_rng(302), specs)
+    assert len(sweep) == len(specs)
+    for spec, (candidates, critical) in zip(specs, sweep):
+        report = detect_outliers(eig, dirs, resolve_lambda(spec, dirs), 3.0)
+        assert tuple(candidates.tolist()) == report.candidate_set
+        assert critical.dtype == float and critical.shape == candidates.shape
 
 
 def test_sweep_refuses_a_lambda_below_every_norm():
@@ -370,7 +390,7 @@ def test_sweep_refuses_a_lambda_below_every_norm():
     low = float(dirs.rkhs_norms.min()) / 2
     specs = (RegularizationSpec.from_quantile(0.5), RegularizationSpec.from_lambda(low))
     with pytest.raises(EmptyPoolError, match=re.escape(f"lambda={low!r}")) as raised:
-        flag_sweep(fit_fpca(sample, 4), 200, np.random.default_rng(304), specs, FACTOR_GRID)
+        flag_sweep(fit_fpca(sample, 4), 200, np.random.default_rng(304), specs)
     assert raised.value.lam == low
 
 
@@ -386,7 +406,7 @@ def test_sweep_projects_once_for_all_lambdas(monkeypatch):
     monkeypatch.setattr("rhdepth.rhd._accepted_projections", counted)
     specs = [RegularizationSpec.from_quantile(u) for u in (0.5, 0.7, 0.9, 0.95)]
     rng = np.random.default_rng(306)
-    sweep = flag_sweep(fit_fpca(_contaminated(60, 305), 4), 200, rng, specs, FACTOR_GRID)
+    sweep = flag_sweep(fit_fpca(_contaminated(60, 305), 4), 200, rng, specs)
     assert len(sweep) == 4 and len(calls) == 1
 
 
@@ -546,7 +566,8 @@ class TestFlagSweepMatchesPerFactorLoop:
 
     def _assert_matches(self, sample, J, M, seed):
         specs = [RegularizationSpec.from_quantile(u) for u in self.U_GRID]
-        sweep = flag_sweep(fit_fpca(sample, J), M, np.random.default_rng(seed), specs, self.FACTORS)
+        rng = np.random.default_rng(seed)
+        sweep = _flags(flag_sweep(fit_fpca(sample, J), M, rng, specs), self.FACTORS)
         rng = np.random.default_rng(seed)
         expected = _reference_flag_sweep(sample, J, M, rng, specs, self.FACTORS)
         assert sweep == expected
@@ -594,11 +615,12 @@ class TestFlagSweepMatchesPerFactorLoop:
 
 def test_sweep_takes_factors_whose_fences_would_overflow():
     # 1e307 times the largest IQR here (about 2.4) is finite, 1.7e308 times
-    # it is not; a sweep builds no fences, so it flags at such factors too
+    # it is not; flags read off critical factors build no fences, so they
+    # hold at such factors too
     sample = _contaminated(60, 309)
     specs = (RegularizationSpec.from_quantile(0.9),)
     factors = (1.5, 1e307, 1.7e308, 3.0, 1.79e308)
-    sweep = flag_sweep(fit_fpca(sample, 4), 200, np.random.default_rng(310), specs, factors)
+    sweep = _flags(flag_sweep(fit_fpca(sample, 4), 200, np.random.default_rng(310), specs), factors)
     with np.errstate(over="ignore"):
         expected = _reference_flag_sweep(sample, 4, 200, np.random.default_rng(310), specs, factors)
     assert sweep == expected

@@ -51,10 +51,10 @@ def _tiny_eigenvalue_system():
     return replace(_zero_eigenvalue_system(), eigenvalues=np.array([1e-310, 1e-310]))
 
 
-def _sweep(n, factor):
-    """One flag_sweep at the median lambda on n curves, with one factor."""
+def _sweep(n):
+    """One flag_sweep at the median lambda on n curves."""
     eig = fit_fpca(generate_inliers(n, seed=0), 2)
-    return flag_sweep(eig, 50, np.random.default_rng(1), (MEDIAN,), (factor,))
+    return flag_sweep(eig, 50, np.random.default_rng(1), (MEDIAN,))
 
 
 def _outliers(lam, factor):
@@ -221,6 +221,11 @@ REFUSALS = {
         TypeError,
         "flagged must hold curve indices, not bool",
     ),
+    "metrics-float-index": (
+        lambda: detection_metrics([1.0], ["inlier", "jump"]),
+        TypeError,
+        "flagged must hold integer curve indices, got 1.0",
+    ),
     "tukey-no-points": (
         lambda: tukey_depth_2d_exact(np.empty((0, 2)), [0.0, 0.0]),
         ValueError,
@@ -252,24 +257,8 @@ REFUSALS = {
         "x must be finite",
     ),
     "inliers-none": (lambda: generate_inliers(0, seed=0), ValueError, "n must be at least 1"),
-    "sweep-factor-negative": (
-        lambda: _sweep(12, -1.0),
-        ValueError,
-        "factor -1.0 must be positive and finite",
-    ),
-    "sweep-factor-0": (lambda: _sweep(12, 0.0), ValueError, "factor 0.0 must be positive and finite"),
-    "sweep-factor-nan": (
-        lambda: _sweep(12, float("nan")),
-        ValueError,
-        "factor nan must be positive and finite",
-    ),
-    "sweep-factor-inf": (
-        lambda: _sweep(12, float("inf")),
-        ValueError,
-        "factor inf must be positive and finite",
-    ),
     "sweep-three-curves": (
-        lambda: _sweep(3, 3.0),
+        lambda: _sweep(3),
         ValueError,
         "need at least 4 curves for quartile fences",
     ),
@@ -277,6 +266,21 @@ REFUSALS = {
         lambda: roc_table(SCENARIO, 2, 10, 1, seed=0, factor_grid=(-1.0,)),
         ValueError,
         "factor -1.0 must be positive and finite",
+    ),
+    "roc-factor-0": (
+        lambda: roc_table(SCENARIO, 2, 10, 1, seed=0, factor_grid=(0.0,)),
+        ValueError,
+        "factor 0.0 must be positive and finite",
+    ),
+    "roc-factor-nan": (
+        lambda: roc_table(SCENARIO, 2, 10, 1, seed=0, factor_grid=(NAN,)),
+        ValueError,
+        "factor nan must be positive and finite",
+    ),
+    "roc-factor-inf": (
+        lambda: roc_table(SCENARIO, 2, 10, 1, seed=0, factor_grid=(np.inf,)),
+        ValueError,
+        "factor inf must be positive and finite",
     ),
     "outliers-factor-negative": (
         lambda: _outliers(np.inf, -1.0),
@@ -330,6 +334,11 @@ REFUSALS = {
         lambda: ScenarioSpec(n_inliers=10, seed=1.5),
         ValueError,
         "seed must be an integer, got 1.5",
+    ),
+    "scenario-negative-seed": (
+        lambda: ScenarioSpec(n_inliers=10, seed=-1),
+        ValueError,
+        "seed must be at least 0, got -1",
     ),
     "scenario-float-count": (
         lambda: ScenarioSpec(n_inliers=10, outlier_counts={"jump": 1.5}),
