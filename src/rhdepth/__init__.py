@@ -1,5 +1,7 @@
 """Regularized halfspace depth for functional data."""
 
+__version__ = "0.1.0"
+
 from .evalkit import (
     DetectionMetrics,
     RankTable,

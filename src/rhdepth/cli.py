@@ -5,8 +5,9 @@ Each is one entry of a command table: the flags it takes, its pipeline, and
 the flag values its manifest records. One runner resolves the seed, runs the
 pipeline, writes its outputs atomically, and writes a JSON manifest
 (<out>.manifest.json) holding the parameters, the seed, the package
-version, and wall time; replaying a manifest's argv reproduces the outputs
-byte for byte (the wall-time field aside).
+version (rhdepth.__version__, from a checkout as from an install), and wall
+time; replaying a manifest's argv reproduces the outputs byte for byte (the
+wall-time field aside).
 
 Exit codes: 1 for argument/validation errors (the message names the flag)
 and for a failed allocation, 2 for rank or empty-pool errors, 0 otherwise.
@@ -30,7 +31,8 @@ Scenario config files are plain key=value lines; the seed comes from
 Environment overrides: RHDEPTH_SEED and RHDEPTH_THREADS apply when the
 corresponding flag is not given, and are checked as that flag is. A seed
 taken from RHDEPTH_SEED is recorded in the manifest's argv as --seed. The
-thread count is capped at the CPU count.
+thread count is capped at the usable CPU count: the CPUs the process may
+run on (its affinity mask, where the platform has one).
 
 argparse prints the refusals found while parsing. Every later one, an
 environment value's included, is an exception that `run` prints as one
@@ -48,11 +50,11 @@ import os
 import re
 import sys
 import time
-from importlib.metadata import PackageNotFoundError, version
 from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .evalkit import DEFAULT_QUANTILE_GRID, normalized_ranks, roc_table
 from .funspace import RankError, fit_fpca
 from .io import (
@@ -81,13 +83,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; the contract here is 1.
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _package_version() -> str:
-    try:
-        return version("rhdepth")
-    except PackageNotFoundError:
-        return "unknown"
 
 
 def _checked(convert, test, expect: str):
@@ -164,12 +159,17 @@ def _setting(args, name: str, env: str, parse):
 
 
 def _resolve_threads(args) -> int:
-    """Worker threads, at least 1 and at most the CPU count.
+    """Worker threads, at least 1 and at most the usable CPU count: the CPUs
+    this process may run on (its affinity mask, where the platform has one),
+    as Python 3.13's os.process_cpu_count counts them.
 
     Outputs do not depend on the thread count, so the cap changes none.
     """
     threads = _setting(args, "threads", "RHDEPTH_THREADS", _count)
-    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     return cpus if threads is None else min(threads, cpus)
 
 
@@ -436,7 +436,7 @@ def _run_command(args, argv) -> int:
     manifest = {
         "argv": list(argv),
         "parameters": params,
-        "version": _package_version(),
+        "version": __version__,
         "wall_time_seconds": time.monotonic() - start,
     }
     write_json(manifest_path, manifest)

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rhdepth import generate_inliers, generate_scenario, ScenarioSpec
+from rhdepth import __version__, generate_inliers, generate_scenario, ScenarioSpec
 from rhdepth import cli
 from rhdepth.cli import _build_parser, _resolve_threads, parse_scenario_config, run
 from rhdepth.evalkit import normalized_ranks
@@ -320,7 +320,9 @@ class TestCli:
         assert not (tmp_path / "d.csv").exists()
 
     def test_resolve_threads(self, monkeypatch):
-        cpus = os.cpu_count() or 1
+        # The CPUs this process may run on, not the host's count.
+        usable = getattr(os, "sched_getaffinity", None)
+        cpus = len(usable(0)) if usable else os.cpu_count() or 1
         monkeypatch.delenv("RHDEPTH_THREADS", raising=False)
         assert _resolve_threads(argparse.Namespace(threads=1)) == 1
         assert _resolve_threads(argparse.Namespace(threads=10**9)) == cpus
@@ -333,6 +335,19 @@ class TestCli:
             message = f"RHDEPTH_THREADS must be {rule}, got {bad!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 _resolve_threads(argparse.Namespace(threads=None))
+
+    def test_thread_cap_is_the_usable_cpu_count(self, monkeypatch):
+        """Under an affinity mask (taskset, a container's CPU set) the cap is
+        the CPUs the process may run on, not the host's count."""
+        monkeypatch.delenv("RHDEPTH_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _resolve_threads(argparse.Namespace(threads=None)) == 1
+        assert _resolve_threads(argparse.Namespace(threads=4)) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _resolve_threads(argparse.Namespace(threads=None)) == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_threads(argparse.Namespace(threads=None)) == 1
 
     def test_unknown_subcommand_exits_1(self):
         assert run(["frobnicate"]) == 1
@@ -1562,3 +1577,38 @@ def test_one_parser_serves_every_run_of_a_process(cli_files, tmp_path, capsys, m
     assert run(["--help"]) == 0
     assert run(["outliers", "--help"]) == 0
     assert "--calibrate" in capsys.readouterr().out
+
+
+_LEAN_START = """
+import json, sys
+before = set(sys.modules)  # what interpreter start-up loaded is not counted
+from rhdepth.cli import run
+out = sys.argv[1]
+commands = [
+    ["simulate", "--scenario", out + "/s.cfg", "--seed", "1"]
+    + ["--out-sample", out + "/s.csv", "--out-labels", out + "/l.csv"],
+    ["depth", "--input", out + "/s.csv", "--u", "0.5", "--seed", "2", "--out", out + "/d.csv"],
+    ["outliers", "--input", out + "/s.csv", "--u", "0.95", "--calibrate", "--B", "2"]
+    + ["--seed", "3", "--out", out + "/o.json"],
+]
+codes = [run(["--threads", "1", *argv]) for argv in commands]
+print(json.dumps({"codes": codes, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_serial_commands_load_no_pool_or_package_metadata(tmp_path):
+    """In a fresh interpreter, importing rhdepth.cli and running simulate,
+    depth and outliers --calibrate at --threads 1 loads neither the thread
+    pool nor the package-metadata machinery (and what those pull in, such
+    as email and logging); every manifest records rhdepth.__version__."""
+    (tmp_path / "s.cfg").write_text("n_inliers = 38\noutliers = magnitude:1, jump:1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    command = [sys.executable, "-c", _LEAN_START, str(tmp_path)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    report = json.loads(done.stdout)
+    assert report["codes"] == [0, 0, 0]
+    unwanted = ("importlib.metadata", "email", "concurrent.futures", "logging")
+    assert [m for m in unwanted if m in report["loaded"]] == []
+    for name in ("s.csv", "d.csv", "o.json"):
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["version"] == __version__
