@@ -261,14 +261,15 @@ def _depth(args):
     del evaluation  # not held while the CSV text is built
     table = normalized_ranks(result.depths)
     # Depths are multiples of 1/n, so few are distinct; equal depths share
-    # a rank, and each distinct depth's fields are written once.
+    # a rank, and each distinct depth's fields are written once. Every row
+    # then takes one template: %d writes an int as str() does.
     _, first, inverse = np.unique(result.depths, return_index=True, return_inverse=True)
     depths, ranks = result.depths[first].tolist(), table.normalized[first].tolist()
     fields = csv_text(zip(depths, ranks, itertools.repeat(lam))).splitlines()
     ties = map(len, result.minimizing_directions)
     rows = zip(itertools.count(), map(fields.__getitem__, inverse.tolist()), ties)
-    header = ("eval_id", "depth", "normalized_rank", "lambda_used", "n_min_directions")
-    return {args.out: csv_text([header, *rows])}, {"lambda_used": lam}
+    header = csv_text([("eval_id", "depth", "normalized_rank", "lambda_used", "n_min_directions")])
+    return {args.out: header + "".join(map("%d,%s,%d\n".__mod__, rows))}, {"lambda_used": lam}
 
 
 def _calibration(args, eig) -> dict:

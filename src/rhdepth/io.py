@@ -4,10 +4,12 @@ Every output is written by `atomic_write_text`: to a temp file that open()
 creates exclusively in the target's directory, with the mode the umask
 gives it (the umask is never changed), then renamed onto the target.
 
-Every CSV output is written by `csv_text`, each field by str(): a float as
-its shortest round-trip repr, so a curve file reads back exactly. The depth
-command hands it one pre-joined depth,normalized_rank,lambda_used text per
-distinct depth, itself written by csv_text. Every JSON output is written by
+Every CSV field is written by str(): a float as its shortest round-trip
+repr, so a curve file reads back exactly. `csv_text` writes every CSV
+output but the depth command's rows, whose id, depth text and tie count
+go into one "%d,%s,%d" template (%d writes an int as str() does); each
+depth,normalized_rank,lambda_used text, one per distinct depth, and the
+header are csv_text's. Every JSON output is written by
 `json_text`: the bytes of json.dumps(payload, indent=2, allow_nan=False),
 built with one str.join per container instead of the pure-Python encoder
 that indenting selects. Its writers, keyed by exact type, take what the

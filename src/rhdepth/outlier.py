@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funspace import EigenSystem, _frozen_array, fit_fpca_coordinates
-from .rhd import DirectionSet, RegularizationSpec, _candidate_fences, _min_counts
+from .rhd import DirectionSet, RegularizationSpec, _candidate_fences, _kernel_order, _min_counts
 from .rhd import _require_fence_sample, draw_directions, resolve_lambda
 
 FACTOR_GRID = (1.5, 2.0, 2.5, 3.0, 3.5)
@@ -136,7 +136,8 @@ def detect_outliers(
 ) -> OutlierReport:
     """Flag outliers in the fitted sample at regularization lambda."""
     projections, [(owners, columns, directions, (q1, q3))] = _candidate_fences(eig, dirs, [lam])
-    depths = _frozen_array(_min_counts(projections)[0] / projections.shape[0])
+    visit = _kernel_order(dirs, dirs.accepted(lam))
+    depths = _frozen_array(_min_counts(projections, visit=visit)[0] / projections.shape[0])
     iqr, lower, upper, outside = _fences(projections, columns, q1, q3, factor)
     del projections  # freed before the records are built
     # One record per pair, from its column of each array in FenceRecord's field order.

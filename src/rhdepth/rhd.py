@@ -18,6 +18,9 @@ Pool rows, with M = proposal_size, as `draw_directions` builds them:
 
 Only this module reads the sorted blocks of the sample projections: the
 count kernel, and `_candidate_fences` for the fences' pairs and quartiles.
+The kernel visits the accepted data rows right after the first accepted
+column (`_kernel_order`); the indices it reports, and their order, are
+the table's.
 """
 
 from __future__ import annotations
@@ -164,17 +167,22 @@ def resolve_lambda(spec: RegularizationSpec, dirs: DirectionSet) -> float:
 _COUNT_BLOCK = 64
 
 
-def _sorted_blocks(projections: np.ndarray):
+def _sorted_blocks(projections: np.ndarray, visit=None, tops=False):
     """(lo, rows, tops) for each block of columns of the (n, k) projections,
-    of 1, 2, 4, ... and then _COUNT_BLOCK columns: lo is the block's first
-    column, rows its columns as contiguous rows, each sorted, and tops each
-    column's first largest row. No (k, n) copy is held."""
+    taken in the order of visit (default: ascending) in blocks of 1, 2, 4,
+    ... and then _COUNT_BLOCK columns: lo is the block's first position in
+    that order, rows its columns as contiguous rows, each sorted, and tops,
+    only if asked for, each column's first largest row (else None). No
+    (k, n) copy is held."""
     lo, width = 0, 1
     while lo < projections.shape[1]:
-        rows = projections[:, lo : lo + width].T.copy()
-        tops = rows.argmax(axis=1)
+        if visit is None:
+            rows = projections[:, lo : lo + width].T.copy()
+        else:
+            rows = projections.T[visit[lo : lo + width]]  # a gather: already a contiguous copy
+        top = rows.argmax(axis=1) if tops else None
         rows.sort(axis=1)
-        yield lo, rows, tops
+        yield lo, rows, top
         del rows  # a consumer that lets go of a block frees it before the next copy
         lo, width = lo + width, min(2 * width, _COUNT_BLOCK)
 
@@ -238,7 +246,7 @@ def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lams):
     Quartile fences need 4 curves: fewer are refused before the product."""
     _require_fence_sample(eig.scores.shape[0])
     accepted, projections = _accepted_projections(dirs, max(lams, default=np.inf), eig.scores)
-    per_block = itertools.starmap(_column_tops, _sorted_blocks(projections))
+    per_block = itertools.starmap(_column_tops, _sorted_blocks(projections, tops=True))
     q1, q3, top, tops, tied = map(np.hstack, zip(*per_block))
     runs = np.ones(top.size, dtype=np.intp)
     runs[tied] = (projections[:, tied] == top[tied]).sum(axis=0)
@@ -272,7 +280,22 @@ def _lower_ranks(rows: np.ndarray, at: np.ndarray, values: np.ndarray):
     return ranks
 
 
-def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None):
+def _kernel_order(dirs: DirectionSet, accepted: np.ndarray):
+    """The order in which the count kernel visits the accepted columns: the
+    first, then the accepted data rows, then the other proposals; None when
+    that is the accepted order, as when no data row is accepted. A hull
+    vertex's minimum is on a direction that cuts it off the sample, most
+    often a data row, so at lambda=inf these lower the bound early. The
+    first stays first: its one-column block takes NumPy's matrix-vector
+    product, which rounds unlike the wider blocks' matrix products."""
+    k = accepted.size
+    proposals = int(np.count_nonzero(accepted[1:] < dirs.proposal_size))  # after the first
+    if proposals in (0, k - 1):
+        return None
+    return np.r_[0, proposals + 1 : k, 1 : proposals + 1]
+
+
+def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None, visit=None):
     """Halfspace counts minimized over directions.
 
     count[m, j] = #{i : S_i·a_m >= x_j·a_m}, with S_i·a_m = proj_sample[i, m],
@@ -280,10 +303,11 @@ def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None):
     and a_m the rows of coeff: n less the lower-bound rank of x_j·a_m among
     the sample projections. A running bound per point starts at n, and the
     first block, one direction, counts every point. Directions go in blocks
-    that double up to _COUNT_BLOCK, with the sample projections sorted once
-    per block: count <= bound exactly when x·a exceeds the (bound+1)-th
-    largest of them, so one gather and one compare pick out the pairs that
-    can still reach a point's minimum. Only
+    that double up to _COUNT_BLOCK, in the order visit (a permutation of the
+    columns, `_kernel_order`'s; default ascending), with the sample
+    projections sorted once per block: count <= bound exactly when x·a
+    exceeds the (bound+1)-th largest of them, so one gather and one compare
+    pick out the pairs that can still reach a point's minimum. Only
     these are counted, and they lower the bound. A pair that attains the
     minimum is at or below the bound whenever its block runs, so the result
     is exact whatever the order of the directions.
@@ -295,13 +319,13 @@ def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None):
 
     Returns (min_counts, (points, columns)): the minimum count per
     evaluation point, and the (point, coeff row) pairs that attain it,
-    point-major with columns ascending.
+    point-major with columns ascending, whatever the visit.
     """
     n = proj_sample.shape[0]
     bound = np.full(n if eval_scores is None else eval_scores.shape[0], n)
     found = []
-    for lo, rows, _ in _sorted_blocks(proj_sample):
-        block = slice(lo, lo + rows.shape[0])
+    for lo, rows, _ in _sorted_blocks(proj_sample, visit):
+        block = slice(lo, lo + rows.shape[0]) if visit is None else visit[lo : lo + rows.shape[0]]
         # The eval product keeps the eval rows first: coeff[block] @ eval.T
         # rounds differently, and on shuffled copies of the sample it moved
         # 38 of 10000 depths off the self-depth's, against 4 this way.
@@ -315,8 +339,13 @@ def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None):
         found.append((points[keep], columns[keep] + lo, counts[keep]))
     points, columns, counts = (np.concatenate(part) for part in zip(*found))
     keep = counts == bound[points]
-    order = np.argsort(points[keep], kind="stable")
-    return bound, (points[keep][order], columns[keep][order])
+    points, columns = points[keep], columns[keep]
+    if visit is None:  # each point's columns were found ascending
+        order = np.argsort(points, kind="stable")
+    else:
+        columns = visit[columns]
+        order = np.lexsort((columns, points))
+    return bound, (points[order], columns[order])
 
 
 def depth_from_scores(
@@ -344,7 +373,10 @@ def depth_from_scores(
     accepted, projections = _accepted_projections(dirs, lam, sample_scores)
     itself = np.array_equal(sample_scores, eval_scores)
     min_counts, (points, columns) = _min_counts(
-        projections, None if itself else eval_scores, dirs.coefficients[accepted]
+        projections,
+        None if itself else eval_scores,
+        dirs.coefficients[accepted],
+        _kernel_order(dirs, accepted),
     )
     del projections  # freed before the minimizing directions are sliced
     n = sample_scores.shape[0]

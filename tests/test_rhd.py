@@ -26,8 +26,8 @@ from rhdepth import (
 from rhdepth.evalkit import tukey_depth_2d_exact
 from rhdepth.funspace import fit_fpca
 from rhdepth.outlier import detect_outliers
-from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _accepted_projections, _min_counts
-from rhdepth.rhd import _sorted_blocks, _sorted_quartiles, depth_from_scores
+from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _accepted_projections, _kernel_order
+from rhdepth.rhd import _min_counts, _sorted_blocks, _sorted_quartiles, depth_from_scores
 from rhdepth.simlab import eigenvalue_tail_sums, generate_inliers, trigonometric_basis
 
 
@@ -537,11 +537,19 @@ _KERNEL_CASES = (
 )
 
 
-def _kernel(sample, eval_scores, coeff):
+def _kernel(sample, eval_scores, coeff, visit=None):
     """The count kernel on the sample's projections, with depth_from_scores'
     choice of the self pass."""
     itself = np.array_equal(sample, eval_scores)
-    return _min_counts(sample @ coeff.T, None if itself else eval_scores, coeff)
+    return _min_counts(sample @ coeff.T, None if itself else eval_scores, coeff, visit)
+
+
+def _later_first(k):
+    """Visit orders that put later columns first: the columns reversed, and
+    _kernel_order's shape, the first column and then the back half before
+    the front."""
+    half = (k + 1) // 2
+    return np.arange(k)[::-1], np.r_[0, half:k, 1:half]
 
 
 class TestCountKernel:
@@ -553,10 +561,12 @@ class TestCountKernel:
     def test_matches_per_direction_search(self, name, k):
         sample, eval_scores, coeff = _kernel_case(name, k)
         ref_min, ref_points, ref_columns = _reference_min_counts(sample, eval_scores, coeff)
-        min_counts, (points, columns) = _kernel(sample, eval_scores, coeff)
-        assert np.array_equal(min_counts, ref_min)
-        assert np.array_equal(points, ref_points)
-        assert np.array_equal(columns, ref_columns)
+        # In any visit order: the pairs come back point-major, columns ascending.
+        for visit in (None, *_later_first(k)):
+            min_counts, (points, columns) = _kernel(sample, eval_scores, coeff, visit)
+            assert np.array_equal(min_counts, ref_min)
+            assert np.array_equal(points, ref_points)
+            assert np.array_equal(columns, ref_columns)
 
     @staticmethod
     def _assert_matches_reference(sample, eval_scores, coeff):
@@ -654,6 +664,36 @@ class TestCountKernel:
         for i, found in enumerate(res.minimizing_directions):
             assert np.array_equal(found, accepted[ref_columns[ref_points == i]])
 
+    def test_kernel_order_visits_the_data_rows_after_the_first_column(self):
+        # 5 proposals, then 3 data rows; the order is over accepted columns
+        norms = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 2.0, 9.0, 6.0])
+        dirs = DirectionSet(np.ones((8, 1)), norms, proposal_size=5)
+        orders = {lam: _kernel_order(dirs, dirs.accepted(lam)) for lam in (np.inf, 2.0, 1.5, 5.5)}
+        assert orders[np.inf].tolist() == [0, 5, 6, 7, 1, 2, 3, 4]
+        assert orders[5.5].tolist() == [0, 5, 1, 2, 3, 4]
+        assert dirs.accepted(2.0)[orders[2.0]].tolist() == [1, 5, 3]
+        # no data row accepted, or no proposal after the first: the accepted order
+        assert orders[1.5] is None
+        only_data = DirectionSet(np.ones((3, 1)), np.array([9.0, 1.0, 2.0]), proposal_size=1)
+        assert _kernel_order(only_data, only_data.accepted(3.0)) is None
+
+    @pytest.mark.parametrize("itself", [True, False])
+    def test_data_row_and_proposal_tie_ascending(self, itself):
+        # J=1: proposals +1, +1, -1, +1 and data rows -1, +1. At lambda=inf
+        # the kernel visits 0, 4, 5, 1, 2, 3, so the curve at -1 meets its
+        # data row 4 before its tied proposal 2; it reports them ascending.
+        coeff = np.array([[1.0], [1.0], [-1.0], [1.0], [-1.0], [1.0]])
+        dirs = DirectionSet(coeff, np.ones(6), proposal_size=4)
+        sample = np.array([[-1.0], [0.0], [1.0]])
+        eval_scores = sample if itself else np.array([[-1.0], [0.5], [1.0], [-3.0]])
+        res = depth_from_scores(dirs, np.inf, sample, eval_scores)
+        assert _kernel_order(dirs, dirs.accepted(np.inf)).tolist() == [0, 4, 5, 1, 2, 3]
+        assert res.minimizing_directions[0].tolist() == [2, 4]
+        ref_min, ref_points, ref_columns = _reference_min_counts(sample, eval_scores, coeff)
+        assert np.array_equal(res.depths, ref_min / 3)
+        for i, found in enumerate(res.minimizing_directions):
+            assert np.array_equal(found, ref_columns[ref_points == i])
+
     def test_eval_pass_holds_no_projection_matrix(self):
         # the depth_mixed eval shape: 4000 curves against 500 at J=10, with
         # the M=2000 proposals and 500 data directions all accepted
@@ -688,16 +728,32 @@ class TestSortedBlocks:
         rng = np.random.default_rng(k)
         proj = rng.integers(-2, 3, size=(20, k)) if tied else rng.standard_normal((20, k))
         proj = proj.astype(float)
-        blocks = list(_sorted_blocks(proj))
+        blocks = list(_sorted_blocks(proj, tops=True))
         widths = [rows.shape[0] for _, rows, _ in blocks]
         assert [lo for lo, _, _ in blocks] == np.cumsum([0, *widths[:-1]]).tolist()
         assert sum(widths) == k
         # 1, 2, 4, ..., _COUNT_BLOCK, _COUNT_BLOCK, ..., the last one cut short
         full = [min(2**b, _COUNT_BLOCK) for b in range(len(blocks))]
         assert widths[:-1] == full[:-1] and 1 <= widths[-1] <= full[-1]
-        assert np.array_equal(np.vstack([rows for _, rows, _ in blocks]), np.sort(proj.T, axis=1))
+        sorted_rows = np.vstack([rows for _, rows, _ in blocks])
+        assert np.array_equal(sorted_rows, np.sort(proj.T, axis=1))
         # the first largest row of each column
         assert np.array_equal(np.hstack([tops for _, _, tops in blocks]), proj.argmax(axis=0))
+        # Without tops the kernel's blocks are the same sorted rows, and a
+        # visit order takes each column where the visit puts it, in blocks
+        # of the same widths: the gathered path sorts the rows the slice
+        # path does, in the visit's order.
+        plain = list(_sorted_blocks(proj))
+        assert all(tops is None for _, _, tops in plain)
+        assert [lo for lo, _, _ in plain] == [lo for lo, _, _ in blocks]
+        assert np.array_equal(np.vstack([rows for _, rows, _ in plain]), sorted_rows)
+        visit = np.arange(k)[::-1]  # later columns first
+        visited = list(_sorted_blocks(proj, visit, tops=True))
+        assert [rows.shape[0] for _, rows, _ in visited] == widths
+        assert all(rows.flags.c_contiguous for _, rows, _ in visited)
+        assert np.array_equal(np.vstack([rows for _, rows, _ in visited]), sorted_rows[visit])
+        tops = np.hstack([tops for _, _, tops in visited])
+        assert np.array_equal(tops, proj.argmax(axis=0)[visit])
 
 
 class TestKernelQuartiles:
