@@ -137,7 +137,7 @@ def detect_outliers(
     """Flag outliers in the fitted sample at regularization lambda."""
     projections, [(owners, columns, directions, (q1, q3))] = _candidate_fences(eig, dirs, [lam])
     visit = _kernel_order(dirs, dirs.accepted(lam))
-    depths = _frozen_array(_min_counts(projections, visit=visit)[0] / projections.shape[0])
+    depths = _frozen_array(_min_counts(projections, visit)[0] / projections.shape[0])
     iqr, lower, upper, outside = _fences(projections, columns, q1, q3, factor)
     del projections  # freed before the records are built
     # One record per pair, from its column of each array in FenceRecord's field order.

@@ -16,11 +16,12 @@ Pool rows, with M = proposal_size, as `draw_directions` builds them:
   count is its minimum; `n_min_directions` is their number. A
   `FenceRecord`'s `direction` is its pair's row.
 
-Only this module reads the sorted blocks of the sample projections: the
-count kernel, and `_candidate_fences` for the fences' pairs and quartiles.
-The kernel visits the accepted data rows right after the first accepted
-column (`_kernel_order`); the indices it reports, and their order, are
-the table's.
+Only this module reads the column blocks of the sample projections, each
+reader sorting its own: the count kernel, and `_candidate_fences` for the
+fences' pairs and quartiles.
+The kernel visits the accepted data rows before the other proposals
+(`_kernel_order`); the indices it reports, and their order, are the
+table's.
 """
 
 from __future__ import annotations
@@ -163,28 +164,29 @@ def resolve_lambda(spec: RegularizationSpec, dirs: DirectionSet) -> float:
 # (q, block) and (block, n) arrays beside its records of counted pairs. The
 # blocks before it hold 1, 2, 4, ... directions, so the kernel's bound is
 # tight before the wide blocks run. The kernel and `_candidate_fences` read
-# the same sorted blocks.
+# the same blocks.
 _COUNT_BLOCK = 64
 
 
-def _sorted_blocks(projections: np.ndarray, visit=None, tops=False):
-    """(lo, rows, tops) for each block of columns of the (n, k) projections,
-    taken in the order of visit (default: ascending) in blocks of 1, 2, 4,
-    ... and then _COUNT_BLOCK columns: lo is the block's first position in
-    that order, rows its columns as contiguous rows, each sorted, and tops,
-    only if asked for, each column's first largest row (else None). No
-    (k, n) copy is held."""
+def _blocks(k: int):
+    """(lo, hi) of each block of k columns: 1, 2, 4, ... and then
+    _COUNT_BLOCK columns, the last one cut short."""
     lo, width = 0, 1
-    while lo < projections.shape[1]:
-        if visit is None:
-            rows = projections[:, lo : lo + width].T.copy()
-        else:
-            rows = projections.T[visit[lo : lo + width]]  # a gather: already a contiguous copy
-        top = rows.argmax(axis=1) if tops else None
-        rows.sort(axis=1)
-        yield lo, rows, top
-        del rows  # a consumer that lets go of a block frees it before the next copy
+    while lo < k:
+        yield lo, min(lo + width, k)
         lo, width = lo + width, min(2 * width, _COUNT_BLOCK)
+
+
+def _column_blocks(projections: np.ndarray, visit: np.ndarray):
+    """(at, rows) for each block of columns of the (n, k) projections, taken
+    in the order of visit (a permutation of the columns) in `_blocks`: at is
+    the block's columns and rows those columns as contiguous rows, a copy
+    that the reader reads unsorted first and then sorts in place. No (k, n)
+    copy is held."""
+    for lo, hi in _blocks(projections.shape[1]):
+        rows = projections.T[visit[lo:hi]]  # a gather: already a contiguous copy
+        yield visit[lo:hi], rows
+        del rows  # a reader that lets go of a block frees it before the next copy
 
 
 def _accepted_projections(dirs: DirectionSet, lam: float, scores: np.ndarray):
@@ -226,11 +228,16 @@ def _sorted_quartiles(rows: np.ndarray):
     return quartiles
 
 
-def _column_tops(_, rows, tops):
+def _column_tops(_, rows):
     """Q1, Q3, the top value, the first row at the top and whether the top
-    is tied, per column of one sorted block. The top value is a copy: a view
-    would keep the whole block. A function, not a generator expression, so
-    that no loop variable holds a block while the next one is copied."""
+    is tied, per column of one block, which it sorts. The first top is read
+    before the sort, on the block: one argmax over the whole product reads
+    it across its rows, several times slower. The top value is a copy: a
+    view would keep the whole block. A function, not a generator
+    expression, so that no loop variable holds a block while the next one
+    is copied."""
+    tops = rows.argmax(axis=1)
+    rows.sort(axis=1)
     return (*_sorted_quartiles(rows), rows[:, -1].copy(), tops, rows[:, -2] == rows[:, -1])
 
 
@@ -239,14 +246,16 @@ def _candidate_fences(eig: EigenSystem, dirs: DirectionSet, lams):
     lambda (n, k) and, per lambda, its (candidate, minimizing direction)
     pairs, candidates ascending and then directions ascending: candidates,
     columns (each a direction whose norm that lambda accepts), pool
-    directions, and (Q1, Q3) of those columns, all off the sorted blocks.
+    directions, and (Q1, Q3) of those columns, all off the sorted blocks,
+    in column order.
     No count kernel runs: a direction's smallest count #{i : p_i >= p_j} is
     its top tie run, so the candidates are the curves on top of the
     directions with the shortest run; only a tied column's run is counted.
     Quartile fences need 4 curves: fewer are refused before the product."""
     _require_fence_sample(eig.scores.shape[0])
     accepted, projections = _accepted_projections(dirs, max(lams, default=np.inf), eig.scores)
-    per_block = itertools.starmap(_column_tops, _sorted_blocks(projections, tops=True))
+    blocks = _column_blocks(projections, np.arange(accepted.size))
+    per_block = itertools.starmap(_column_tops, blocks)
     q1, q3, top, tops, tied = map(np.hstack, zip(*per_block))
     runs = np.ones(top.size, dtype=np.intp)
     runs[tied] = (projections[:, tied] == top[tied]).sum(axis=0)
@@ -282,20 +291,20 @@ def _lower_ranks(rows: np.ndarray, at: np.ndarray, values: np.ndarray):
 
 def _kernel_order(dirs: DirectionSet, accepted: np.ndarray):
     """The order in which the count kernel visits the accepted columns: the
-    first, then the accepted data rows, then the other proposals; None when
-    that is the accepted order, as when no data row is accepted. A hull
+    accepted data rows before the other proposals, each in accepted order,
+    except that a column alone in its block keeps its place. A hull
     vertex's minimum is on a direction that cuts it off the sample, most
-    often a data row, so at lambda=inf these lower the bound early. The
-    first stays first: its one-column block takes NumPy's matrix-vector
-    product, which rounds unlike the wider blocks' matrix products."""
-    k = accepted.size
-    proposals = int(np.count_nonzero(accepted[1:] < dirs.proposal_size))  # after the first
-    if proposals in (0, k - 1):
-        return None
-    return np.r_[0, proposals + 1 : k, 1 : proposals + 1]
+    often a data row, so at lambda=inf these lower the bound early. A
+    one-column block, the first and the last when k ends one, takes NumPy's
+    matrix-vector product for its evaluation projections, which rounds
+    unlike the wider blocks' matrix products: those columns stay put."""
+    order = np.arange(accepted.size)
+    moved = np.delete(order, [lo for lo, hi in _blocks(order.size) if hi - lo == 1])
+    order[moved] = moved[np.argsort(accepted[moved] < dirs.proposal_size, kind="stable")]
+    return order
 
 
-def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None, visit=None):
+def _min_counts(proj_sample: np.ndarray, visit: np.ndarray, eval_scores=None, coeff=None):
     """Halfspace counts minimized over directions.
 
     count[m, j] = #{i : S_i·a_m >= x_j·a_m}, with S_i·a_m = proj_sample[i, m],
@@ -304,7 +313,7 @@ def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None, visit=Non
     the sample projections. A running bound per point starts at n, and the
     first block, one direction, counts every point. Directions go in blocks
     that double up to _COUNT_BLOCK, in the order visit (a permutation of the
-    columns, `_kernel_order`'s; default ascending), with the sample
+    columns, as `_kernel_order` gives it), with the sample
     projections sorted once per block: count <= bound exactly when x·a
     exceeds the (bound+1)-th largest of them, so one gather and one compare
     pick out the pairs that can still reach a point's minimum. Only
@@ -324,28 +333,27 @@ def _min_counts(proj_sample: np.ndarray, eval_scores=None, coeff=None, visit=Non
     n = proj_sample.shape[0]
     bound = np.full(n if eval_scores is None else eval_scores.shape[0], n)
     found = []
-    for lo, rows, _ in _sorted_blocks(proj_sample, visit):
-        block = slice(lo, lo + rows.shape[0]) if visit is None else visit[lo : lo + rows.shape[0]]
-        # The eval product keeps the eval rows first: coeff[block] @ eval.T
+    for at, rows in _column_blocks(proj_sample, visit):
+        # The self pass copies its points' projections off the block before
+        # the sort: gathering them from the product costs as much again.
+        # The eval product keeps the eval rows first: coeff[at] @ eval.T
         # rounds differently, and on shuffled copies of the sample it moved
         # 38 of 10000 depths off the self-depth's, against 4 this way.
-        x = proj_sample[:, block] if eval_scores is None else eval_scores @ coeff[block].T
+        x = rows.T.copy() if eval_scores is None else eval_scores @ coeff[at].T
+        rows.sort(axis=1)
         survive = x > rows.T[np.maximum(n - 1 - bound, 0)]
         survive[bound == n] = True  # no (n+1)-th largest: every count is at most n
         points, columns = np.divmod(np.flatnonzero(survive), rows.shape[0])
         counts = n - _lower_ranks(rows, columns, x[points, columns])
         np.minimum.at(bound, points, counts)
         keep = counts <= bound[points]
-        found.append((points[keep], columns[keep] + lo, counts[keep]))
+        found.append((points[keep], at[columns[keep]], counts[keep]))
     points, columns, counts = (np.concatenate(part) for part in zip(*found))
     keep = counts == bound[points]
-    points, columns = points[keep], columns[keep]
-    if visit is None:  # each point's columns were found ascending
-        order = np.argsort(points, kind="stable")
-    else:
-        columns = visit[columns]
-        order = np.lexsort((columns, points))
-    return bound, (points[order], columns[order])
+    k = proj_sample.shape[1]
+    # Each (point, column) pair is found once: one sort of a single key
+    # puts them point-major, columns ascending.
+    return bound, np.divmod(np.sort(points[keep] * k + columns[keep]), k)
 
 
 def depth_from_scores(
@@ -374,9 +382,9 @@ def depth_from_scores(
     itself = np.array_equal(sample_scores, eval_scores)
     min_counts, (points, columns) = _min_counts(
         projections,
+        _kernel_order(dirs, accepted),
         None if itself else eval_scores,
         dirs.coefficients[accepted],
-        _kernel_order(dirs, accepted),
     )
     del projections  # freed before the minimizing directions are sliced
     n = sample_scores.shape[0]

@@ -26,8 +26,9 @@ from rhdepth import (
 from rhdepth.evalkit import tukey_depth_2d_exact
 from rhdepth.funspace import fit_fpca
 from rhdepth.outlier import detect_outliers
-from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _accepted_projections, _kernel_order
-from rhdepth.rhd import _min_counts, _sorted_blocks, _sorted_quartiles, depth_from_scores
+from rhdepth.rhd import _COUNT_BLOCK, DepthResult, _accepted_projections, _blocks, _kernel_order
+from rhdepth.rhd import _column_blocks, _column_tops, _min_counts, _sorted_quartiles
+from rhdepth.rhd import depth_from_scores
 from rhdepth.simlab import eigenvalue_tail_sums, generate_inliers, trigonometric_basis
 
 
@@ -539,9 +540,10 @@ _KERNEL_CASES = (
 
 def _kernel(sample, eval_scores, coeff, visit=None):
     """The count kernel on the sample's projections, with depth_from_scores'
-    choice of the self pass."""
+    choice of the self pass; by default it visits the columns in order."""
     itself = np.array_equal(sample, eval_scores)
-    return _min_counts(sample @ coeff.T, None if itself else eval_scores, coeff, visit)
+    visit = np.arange(coeff.shape[0]) if visit is None else visit
+    return _min_counts(sample @ coeff.T, visit, None if itself else eval_scores, coeff)
 
 
 def _later_first(k):
@@ -562,7 +564,7 @@ class TestCountKernel:
         sample, eval_scores, coeff = _kernel_case(name, k)
         ref_min, ref_points, ref_columns = _reference_min_counts(sample, eval_scores, coeff)
         # In any visit order: the pairs come back point-major, columns ascending.
-        for visit in (None, *_later_first(k)):
+        for visit in (np.arange(k), *_later_first(k)):
             min_counts, (points, columns) = _kernel(sample, eval_scores, coeff, visit)
             assert np.array_equal(min_counts, ref_min)
             assert np.array_equal(points, ref_points)
@@ -664,18 +666,57 @@ class TestCountKernel:
         for i, found in enumerate(res.minimizing_directions):
             assert np.array_equal(found, accepted[ref_columns[ref_points == i]])
 
-    def test_kernel_order_visits_the_data_rows_after_the_first_column(self):
+    def test_kernel_order_visits_the_data_rows_before_the_proposals(self):
         # 5 proposals, then 3 data rows; the order is over accepted columns
         norms = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 2.0, 9.0, 6.0])
         dirs = DirectionSet(np.ones((8, 1)), norms, proposal_size=5)
         orders = {lam: _kernel_order(dirs, dirs.accepted(lam)) for lam in (np.inf, 2.0, 1.5, 5.5)}
-        assert orders[np.inf].tolist() == [0, 5, 6, 7, 1, 2, 3, 4]
+        # k=8 ends in a one-column block, so column 7 stays last
+        assert orders[np.inf].tolist() == [0, 5, 6, 1, 2, 3, 4, 7]
         assert orders[5.5].tolist() == [0, 5, 1, 2, 3, 4]
         assert dirs.accepted(2.0)[orders[2.0]].tolist() == [1, 5, 3]
         # no data row accepted, or no proposal after the first: the accepted order
-        assert orders[1.5] is None
-        only_data = DirectionSet(np.ones((3, 1)), np.array([9.0, 1.0, 2.0]), proposal_size=1)
-        assert _kernel_order(only_data, only_data.accepted(3.0)) is None
+        assert orders[1.5].tolist() == [0, 1]
+        only_data = DirectionSet(np.ones((4, 1)), np.array([9.0, 1.0, 2.0, 3.0]), proposal_size=1)
+        assert _kernel_order(only_data, only_data.accepted(5.0)).tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 63, _COUNT_BLOCK, 127, 2 * _COUNT_BLOCK, 300])
+    def test_kernel_order_keeps_one_column_blocks_in_place(self, k):
+        # the front half proposals, the back half data rows
+        proposals = max(1, k // 2)
+        dirs = DirectionSet(np.ones((k, 1)), np.ones(k), proposal_size=proposals)
+        order = _kernel_order(dirs, np.arange(k))
+        alone = [lo for lo, hi in _blocks(k) if hi - lo == 1]
+        # the first column and, exactly when k ends a block of one, the last
+        assert alone == ([0, k - 1] if k in (2, 4) or k % _COUNT_BLOCK == 0 else [0])
+        assert order[alone].tolist() == alone
+        moved = np.delete(order, alone).tolist()
+        rest = [c for c in range(k) if c not in alone]
+        assert moved == [c for c in rest if c >= proposals] + [c for c in rest if c < proposals]
+
+    @pytest.mark.parametrize("n, M", [(40, 24), (40, 88), (200, 56)])
+    def test_eval_copies_of_sample_curves_count_as_in_accepted_order(self, n, M):
+        # k = M + n is a multiple of _COUNT_BLOCK, so the last data row is
+        # alone in the last block. Its evaluation projections come from a
+        # matrix-vector product, which rounds unlike a matrix product, so
+        # a curve evaluated against itself can count itself on its own data
+        # row or not. Keeping that column last gives the bytes of the
+        # accepted order, where it is last too.
+        rng = np.random.default_rng(n + M)
+        sample = rng.standard_normal((n, 10)) * np.linspace(2.0, 0.3, 10)
+        proposals = rng.standard_normal((M, 10))
+        data = sample - sample.mean(axis=0)
+        coeff = np.vstack([proposals, data])
+        coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
+        dirs = DirectionSet(coeff, np.ones(M + n), proposal_size=M)
+        eval_scores = sample[::-1].copy()  # every curve, not the sample's array
+        res = depth_from_scores(dirs, np.inf, sample, eval_scores)
+        min_counts, (points, columns) = _min_counts(
+            sample @ coeff.T, np.arange(M + n), eval_scores, coeff
+        )
+        assert np.array_equal(res.depths, min_counts / n)
+        for i, found in enumerate(res.minimizing_directions):
+            assert np.array_equal(found, columns[points == i])
 
     @pytest.mark.parametrize("itself", [True, False])
     def test_data_row_and_proposal_tie_ascending(self, itself):
@@ -705,7 +746,7 @@ class TestCountKernel:
         try:
             proj_sample = sample @ coeff.T
             held = tracemalloc.get_traced_memory()[0]
-            _min_counts(proj_sample, eval_scores, coeff)
+            _min_counts(proj_sample, np.arange(k), eval_scores, coeff)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -728,32 +769,38 @@ class TestSortedBlocks:
         rng = np.random.default_rng(k)
         proj = rng.integers(-2, 3, size=(20, k)) if tied else rng.standard_normal((20, k))
         proj = proj.astype(float)
-        blocks = list(_sorted_blocks(proj, tops=True))
-        widths = [rows.shape[0] for _, rows, _ in blocks]
-        assert [lo for lo, _, _ in blocks] == np.cumsum([0, *widths[:-1]]).tolist()
-        assert sum(widths) == k
+        blocks = list(_column_blocks(proj, np.arange(k)))
+        widths = [rows.shape[0] for _, rows in blocks]
+        assert np.array_equal(np.hstack([at for at, _ in blocks]), np.arange(k))
+        assert all(at.size == w for (at, _), w in zip(blocks, widths))
         # 1, 2, 4, ..., _COUNT_BLOCK, _COUNT_BLOCK, ..., the last one cut short
         full = [min(2**b, _COUNT_BLOCK) for b in range(len(blocks))]
         assert widths[:-1] == full[:-1] and 1 <= widths[-1] <= full[-1]
-        sorted_rows = np.vstack([rows for _, rows, _ in blocks])
-        assert np.array_equal(sorted_rows, np.sort(proj.T, axis=1))
-        # the first largest row of each column
-        assert np.array_equal(np.hstack([tops for _, _, tops in blocks]), proj.argmax(axis=0))
-        # Without tops the kernel's blocks are the same sorted rows, and a
-        # visit order takes each column where the visit puts it, in blocks
-        # of the same widths: the gathered path sorts the rows the slice
-        # path does, in the visit's order.
-        plain = list(_sorted_blocks(proj))
-        assert all(tops is None for _, _, tops in plain)
-        assert [lo for lo, _, _ in plain] == [lo for lo, _, _ in blocks]
-        assert np.array_equal(np.vstack([rows for _, rows, _ in plain]), sorted_rows)
+        # each block a contiguous copy of its columns, which its reader may sort
+        assert all(rows.flags.c_contiguous and rows.base is None for _, rows in blocks)
+        assert np.array_equal(np.vstack([rows for _, rows in blocks]), proj.T)
+        # A visit order takes each column where the visit puts it, in
+        # blocks of the same widths.
         visit = np.arange(k)[::-1]  # later columns first
-        visited = list(_sorted_blocks(proj, visit, tops=True))
-        assert [rows.shape[0] for _, rows, _ in visited] == widths
-        assert all(rows.flags.c_contiguous for _, rows, _ in visited)
-        assert np.array_equal(np.vstack([rows for _, rows, _ in visited]), sorted_rows[visit])
-        tops = np.hstack([tops for _, _, tops in visited])
-        assert np.array_equal(tops, proj.argmax(axis=0)[visit])
+        visited = list(_column_blocks(proj, visit))
+        assert [rows.shape[0] for _, rows in visited] == widths
+        assert np.array_equal(np.hstack([at for at, _ in visited]), visit)
+        assert all(rows.flags.c_contiguous for _, rows in visited)
+        assert np.array_equal(np.vstack([rows for _, rows in visited]), proj.T[visit])
+
+    @pytest.mark.parametrize("k", [1, 3, 64, 300])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_column_tops_sort_the_block_after_the_first_top(self, k, tied):
+        rng = np.random.default_rng(k)
+        proj = rng.integers(-2, 3, size=(20, k)) if tied else rng.standard_normal((20, k))
+        proj = proj.astype(float)
+        blocks = list(_column_blocks(proj, np.arange(k)))
+        q1, q3, top, tops, top_tied = map(np.hstack, zip(*(_column_tops(*b) for b in blocks)))
+        # the first largest row of each column, taken before the sort
+        assert np.array_equal(tops, proj.argmax(axis=0))
+        assert np.array_equal(np.vstack([rows for _, rows in blocks]), np.sort(proj.T, axis=1))
+        assert np.array_equal(top, proj.max(axis=0))
+        assert np.array_equal(top_tied, (proj == proj.max(axis=0)).sum(axis=0) > 1)
 
 
 class TestKernelQuartiles:
